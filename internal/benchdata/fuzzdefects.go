@@ -92,6 +92,55 @@ parser FuzzLint {
 `
 )
 
+// Seed sources of the coverage-guided native fuzz targets (internal/fuzz,
+// internal/core): one plain select, one loop with a two-part key, and one
+// lookahead select into a varbit extraction.
+const (
+	FuzzSeedSrcA = `
+header eth { bit<4> t; }
+header v4  { bit<3> p; }
+parser SeedA {
+    state start {
+        extract(eth);
+        transition select(eth.t) {
+            4       : parse_v4;
+            default : accept;
+        }
+    }
+    state parse_v4 { extract(v4); transition accept; }
+}
+`
+	FuzzSeedSrcB = `
+header tag { bit<2> kind; bit<2> more; }
+header opt { bit<3> v; }
+parser SeedB {
+    state start {
+        extract(tag);
+        transition select(tag.kind, tag.more) {
+            (1, 1)  : parse_opt;
+            (2, 0)  : reject;
+            default : accept;
+        }
+    }
+    state parse_opt { extract(opt); transition start; }
+}
+`
+	FuzzSeedSrcC = `
+header h { bit<2> n; }
+header b { bit<4> body; }
+parser SeedC {
+    state start {
+        extract(h);
+        transition select(lookahead<bit<1>>()) {
+            1       : parse_b;
+            default : accept;
+        }
+    }
+    state parse_b { extract(b, h.n * 2); transition accept; }
+}
+`
+)
+
 // FuzzSemanticsFixture returns the seeded-defect fixture for the
 // spec-vs-program oracle pair.
 func FuzzSemanticsFixture() *pir.Spec { return mustSpec(srcFuzzSemantics) }

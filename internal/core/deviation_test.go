@@ -151,15 +151,20 @@ func TestDirectedSuiteCatchesInteriorHopDeviation(t *testing.T) {
 
 	// The deterministic one-deviation suite alone must expose the wrong
 	// interior mask bit — no reliance on random sampling luck.
-	caught := false
-	for _, in := range v.directedSuite() {
-		if !bad.Run(in, k).Same(spec.Run(in, k)) {
-			caught = true
-			break
-		}
+	// Both the reference interpreters and the verifier's lowered check
+	// must see it.
+	lowBad := lowerProgram(bad, v.low)
+	caught, caughtLowered := false, false
+	v.directedSuite(func(in bitstream.Bits) bool {
+		caught = caught || !bad.Run(in, k).Same(spec.Run(in, k))
+		caughtLowered = caughtLowered || v.differs(lowBad, in)
+		return !caught || !caughtLowered
+	})
+	if !caught || !caughtLowered {
+		t.Fatalf("one-deviation directed suite missed the wrong interior-hop mask bit (reference %v, lowered %v)", caught, caughtLowered)
 	}
-	if !caught {
-		t.Fatal("one-deviation directed suite missed the wrong interior-hop mask bit")
+	if _, found, _ := v.counterexample(bad); !found {
+		t.Fatal("counterexample search missed the wrong interior-hop mask bit")
 	}
 }
 

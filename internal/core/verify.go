@@ -16,8 +16,12 @@ import (
 // Otherwise it combines directed path coverage — inputs that steer the
 // specification through every transition rule — with uniform random
 // sampling, mirroring the paper's simulator-based validation (Figure 22).
+//
+// A verifier belongs to one budget runner and is not safe for concurrent
+// use: its RNG, input buffer and registers are reused across calls.
 type verifier struct {
 	spec   *pir.Spec
+	low    *lowSpec
 	opts   Options
 	rng    *rand.Rand
 	maxLen int
@@ -25,11 +29,18 @@ type verifier struct {
 	// window realizations for directed input generation
 	layouts []layout
 	keys    [][]skelKeyPart
+	// directed is the deterministic directed suite, built on first use.
+	directed []directedCase
+
+	in                 bitstream.Bits // the input under test, maxLen bits
+	specRegs, progRegs regFile
+	path               []int
 }
 
 func newVerifier(spec *pir.Spec, opts Options, seed int64) (*verifier, error) {
 	v := &verifier{
 		spec: spec,
+		low:  lowerSpec(spec),
 		opts: opts,
 		rng:  rand.New(rand.NewSource(seed)),
 	}
@@ -57,6 +68,7 @@ func newVerifier(spec *pir.Spec, opts Options, seed int64) (*verifier, error) {
 		v.maxLen = 1
 	}
 	v.budget = v.maxLen + len(spec.States) + 4
+	v.in = make(bitstream.Bits, v.maxLen)
 	back, err := backoffs(spec)
 	if err != nil {
 		return nil, err
@@ -85,6 +97,14 @@ func newVerifier(spec *pir.Spec, opts Options, seed int64) (*verifier, error) {
 // maxLen bits can drive.
 func (v *verifier) maxIterBudget() int { return v.budget }
 
+// differs reports whether prog (lowered against v.low) and the spec
+// disagree on in: !prog.Run(in, k).Same(spec.Run(in, k)) with k the
+// verifier's budget, computed without allocating.
+func (v *verifier) differs(lp *lowProgram, in bitstream.Bits) bool {
+	return v.low.run(in, v.budget, &v.specRegs, nil) != lp.run(in, v.budget, &v.progRegs) ||
+		!sameFields(in, &v.specRegs, &v.progRegs)
+}
+
 // counterexample searches for an input on which prog and the spec
 // disagree. The boolean reports whether one was found; exhaustive reports
 // whether the search covered the whole (padded) input space.
@@ -99,23 +119,27 @@ func (v *verifier) counterexample(prog *tcam.Program) (cex bitstream.Bits, found
 // exists" — the candidate was simply not fully checked. Callers that race
 // budget runners rely on this distinction to avoid accepting an unverified
 // program when their sibling wins.
+//
+// Inputs are generated into one reused buffer, in an order and with RNG
+// draws fixed across releases (every counterexample, and so every SAT
+// query and program, depends on them); a returned counterexample is a copy.
 func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex bitstream.Bits, found, exhaustive, interrupted bool) {
-	k := v.maxIterBudget()
-	check := func(in bitstream.Bits) bool {
-		return !prog.Run(in, k).Same(v.spec.Run(in, k))
-	}
+	lp := lowerProgram(prog, v.low)
 	stopped := func(i int) bool {
 		return stop != nil && i&63 == 0 && stop()
 	}
+	in := v.in
 	if v.maxLen <= v.opts.ExhaustiveVerifyBits {
 		n := uint64(1) << uint(v.maxLen)
 		for x := uint64(0); x < n; x++ {
 			if stopped(int(x)) {
 				return nil, false, false, true
 			}
-			in := bitstream.FromUint(x, v.maxLen)
-			if check(in) {
-				return in, true, true, false
+			for i := range in {
+				in[i] = byte(x >> uint(v.maxLen-1-i) & 1)
+			}
+			if v.differs(lp, in) {
+				return in.Clone(), true, true, false
 			}
 		}
 		return nil, false, true, false
@@ -123,44 +147,134 @@ func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex
 	// Deterministic per-rule coverage first: one input per (path rule,
 	// state rule) combination. These catch wide-key mistakes that random
 	// sampling would hit with probability 2^-keyWidth.
-	for i, in := range v.directedSuite() {
+	i := 0
+	v.directedSuite(func(in bitstream.Bits) bool {
 		if stopped(i) {
-			return nil, false, false, true
+			interrupted = true
+			return false
 		}
-		if check(in) {
-			return in, true, false, false
+		i++
+		if v.differs(lp, in) {
+			cex = in.Clone()
+			return false
 		}
+		return true
+	})
+	if interrupted || cex != nil {
+		return cex, cex != nil, false, interrupted
 	}
 	// Then stochastic directed walks and uniform random sampling.
 	for i := 0; i < v.opts.VerifySamples/2; i++ {
 		if stopped(i) {
 			return nil, false, false, true
 		}
-		in := v.directedInput()
-		if check(in) {
-			return in, true, false, false
+		if in := v.directedInput(); v.differs(lp, in) {
+			return in.Clone(), true, false, false
 		}
 	}
 	for i := 0; i < v.opts.VerifySamples/2; i++ {
 		if stopped(i) {
 			return nil, false, false, true
 		}
-		in := bitstream.Random(v.rng, v.maxLen)
-		if check(in) {
-			return in, true, false, false
+		fillRandom(v.rng, in)
+		if v.differs(lp, in) {
+			return in.Clone(), true, false, false
 		}
 	}
 	return nil, false, false, false
 }
 
-// directedSuite deterministically constructs inputs that drive the
-// specification through every transition rule of every state: for each
-// target (state, rule) pair it walks from the start state, writing the
-// key pattern steering toward that state at each hop and finally the
-// target rule's own pattern. Because a written pattern can overlap bits
-// that influenced earlier hops, the walk re-simulates up to three times
-// until it stabilizes.
-func (v *verifier) directedSuite() []bitstream.Bits {
+// fillRandom overwrites in with uniformly random bits, drawing from rng
+// exactly as bitstream.Random does.
+func fillRandom(rng *rand.Rand, in bitstream.Bits) {
+	for i := range in {
+		in[i] = byte(rng.Intn(2))
+	}
+}
+
+// directedCase is one base input of the directed suite together with the
+// key-window positions whose flips make its neighbours.
+type directedCase struct {
+	in         bitstream.Bits
+	window     []int // absolute positions of the target state's key window
+	pathWindow []int // key windows of the interior hops
+	dontcare   []int // target rule's masked-out window positions
+}
+
+// directedSuite visits, in a fixed order, inputs that drive the
+// specification through every transition rule of every state, each with
+// its one- and two-bit neighbours. It stops early when visit returns
+// false. The visited slice is a scratch buffer, valid only during visit.
+func (v *verifier) directedSuite(visit func(bitstream.Bits) bool) {
+	if v.directed == nil {
+		v.directed = v.directedCases()
+	}
+	in := v.in
+	// flip visits in with bit ip flipped, and restores it.
+	flip := func(ip int) bool {
+		in[ip] ^= 1
+		ok := visit(in)
+		in[ip] ^= 1
+		return ok
+	}
+	for _, c := range v.directed {
+		copy(in, c.in)
+		if !visit(in) {
+			return
+		}
+		// Near-miss neighbours: flip each bit of s's key window. A TCAM
+		// entry with a wrong mask bit is indistinguishable from a right
+		// one on exact rule patterns; it always differs on a one-bit
+		// neighbour.
+		for _, ip := range c.window {
+			if !flip(ip) {
+				return
+			}
+		}
+		// One-deviation path coverage: also flip each bit of every
+		// interior hop's key window while the rest of the path stays on
+		// its rule patterns. A wrong mask bit on an interior hop is
+		// silent when the wrongly entered state falls through to the
+		// same outcome — it only shows when a later state's key happens
+		// to match, and that is exactly the combination these inputs
+		// provide (deviating hop, exact downstream patterns).
+		for _, ip := range c.pathWindow {
+			if !flip(ip) {
+				return
+			}
+		}
+		// Don't-care-plane coverage: the base pattern leaves a rule's
+		// masked-out bits at whatever the walk produced (usually 0),
+		// so an implementation that is only wrong on the other setting
+		// of a don't-care bit — e.g. a split-key realization that
+		// drops the mask conjunct of one fragment — survives every
+		// input above. Flip each don't-care bit to visit its
+		// unexplored plane, and pair each such flip with every
+		// one-bit window near-miss: that two-bit neighbourhood is
+		// exactly where a dropped mask conjunct first becomes
+		// observable.
+		for _, dp := range c.dontcare {
+			if !flip(dp) {
+				return
+			}
+			in[dp] ^= 1
+			for _, ip := range c.window {
+				if ip != dp && !flip(ip) {
+					return
+				}
+			}
+			in[dp] ^= 1
+		}
+	}
+}
+
+// directedCases deterministically constructs the directed suite's base
+// inputs: for each target (state, rule) pair it walks from the start
+// state, writing the key pattern steering toward that state at each hop
+// and finally the target rule's own pattern. Because a written pattern can
+// overlap bits that influenced earlier hops, the walk re-simulates up to
+// three times until it stabilizes.
+func (v *verifier) directedCases() []directedCase {
 	// Steering table: for each state, a rule index (or -1 for default)
 	// leading one hop closer to each other state, computed by BFS.
 	type hop struct {
@@ -204,7 +318,8 @@ func (v *verifier) directedSuite() []bitstream.Bits {
 		return states, rules, true
 	}
 
-	var suite []bitstream.Bits
+	r := &v.specRegs
+	cases := []directedCase{}
 	for s := range v.spec.States {
 		states, rules, ok := pathTo(s)
 		if !ok && s != 0 {
@@ -212,13 +327,11 @@ func (v *verifier) directedSuite() []bitstream.Bits {
 		}
 		// One input per rule of s, plus one for the default.
 		for target := -1; target < len(v.spec.States[s].Rules); target++ {
-			in := make(bitstream.Bits, v.maxLen)
-			var window []int     // absolute positions of s's key window
-			var pathWindow []int // key windows of the interior hops
-			var dontcare []int   // target rule's masked-out window positions
+			c := directedCase{in: make(bitstream.Bits, v.maxLen)}
+			in := c.in
 			for pass := 0; pass < 3; pass++ {
 				pos := 0
-				dict := bitstream.Dict{}
+				r.reset(len(v.low.names))
 				collect := func(si int, dst []int) []int {
 					for _, p := range v.keys[si] {
 						for j := 0; j < p.BitWidth(); j++ {
@@ -233,73 +346,25 @@ func (v *verifier) directedSuite() []bitstream.Bits {
 					if rule >= 0 && rule < len(v.spec.States[si].Rules) {
 						v.writePatternAll(in, pos, si, v.spec.States[si].Rules[rule])
 					}
-					for _, e := range v.spec.States[si].Extracts {
-						w := extractWidthFor(v.spec, e, dict)
-						dict[e.Field] = in.Slice(pos, w)
-						pos += w
-					}
+					pos = r.extractAll(in, v.low.states[si].extracts, pos)
 				}
-				pathWindow = pathWindow[:0]
+				c.pathWindow = c.pathWindow[:0]
 				for i, si := range states {
-					pathWindow = collect(si, pathWindow)
+					c.pathWindow = collect(si, c.pathWindow)
 					step(si, rules[i])
 				}
-				window = collect(s, window[:0])
+				c.window = collect(s, c.window[:0])
 				if target >= 0 {
-					dontcare = v.dontcarePositions(in, pos, s, v.spec.States[s].Rules[target])
+					c.dontcare = v.dontcarePositions(in, pos, s, v.spec.States[s].Rules[target])
 				} else {
-					dontcare = nil
+					c.dontcare = nil
 				}
 				step(s, target)
 			}
-			suite = append(suite, in)
-			// Near-miss neighbours: flip each bit of s's key window. A TCAM
-			// entry with a wrong mask bit is indistinguishable from a right
-			// one on exact rule patterns; it always differs on a one-bit
-			// neighbour.
-			for _, ip := range window {
-				flipped := in.Clone()
-				flipped[ip] ^= 1
-				suite = append(suite, flipped)
-			}
-			// One-deviation path coverage: also flip each bit of every
-			// interior hop's key window while the rest of the path stays on
-			// its rule patterns. A wrong mask bit on an interior hop is
-			// silent when the wrongly entered state falls through to the
-			// same outcome — it only shows when a later state's key happens
-			// to match, and that is exactly the combination these inputs
-			// provide (deviating hop, exact downstream patterns).
-			for _, ip := range pathWindow {
-				flipped := in.Clone()
-				flipped[ip] ^= 1
-				suite = append(suite, flipped)
-			}
-			// Don't-care-plane coverage: the base pattern leaves a rule's
-			// masked-out bits at whatever the walk produced (usually 0),
-			// so an implementation that is only wrong on the other setting
-			// of a don't-care bit — e.g. a split-key realization that
-			// drops the mask conjunct of one fragment — survives every
-			// input above. Flip each don't-care bit to visit its
-			// unexplored plane, and pair each such flip with every
-			// one-bit window near-miss: that two-bit neighbourhood is
-			// exactly where a dropped mask conjunct first becomes
-			// observable.
-			for _, dp := range dontcare {
-				dflip := in.Clone()
-				dflip[dp] ^= 1
-				suite = append(suite, dflip)
-				for _, ip := range window {
-					if ip == dp {
-						continue
-					}
-					both := dflip.Clone()
-					both[ip] ^= 1
-					suite = append(suite, both)
-				}
-			}
+			cases = append(cases, c)
 		}
 	}
-	return suite
+	return cases
 }
 
 // dontcarePositions returns the in-range absolute input positions of the
@@ -354,23 +419,23 @@ func (v *verifier) writePatternAll(in bitstream.Bits, pos, si int, r pir.Rule) {
 // and overwrites the key windows along the visited trajectory with
 // randomly chosen rule patterns, so execution explores deep transitions
 // instead of falling into defaults. Each pass re-simulates because a
-// write may redirect the path.
+// write may redirect the path. The input is built in the verifier's
+// buffer, overwriting it.
 func (v *verifier) directedInput() bitstream.Bits {
-	in := bitstream.Random(v.rng, v.maxLen)
+	in := v.in
+	fillRandom(v.rng, in)
+	r := &v.specRegs
 	for pass := 0; pass < 3; pass++ {
-		res := v.spec.Run(in, v.maxIterBudget())
+		v.path = v.path[:0]
+		v.low.run(in, v.budget, r, &v.path)
+		r.reset(len(v.low.names))
 		pos := 0
-		dict := bitstream.Dict{}
-		for _, si := range res.Path {
+		for _, si := range v.path {
 			st := &v.spec.States[si]
 			if len(st.Rules) > 0 && v.rng.Intn(4) != 0 {
 				v.writePattern(in, pos, si, st.Rules[v.rng.Intn(len(st.Rules))])
 			}
-			for _, e := range st.Extracts {
-				w := extractWidthFor(v.spec, e, dict)
-				dict[e.Field] = in.Slice(pos, w)
-				pos += w
-			}
+			pos = r.extractAll(in, v.low.states[si].extracts, pos)
 		}
 	}
 	return in
@@ -398,22 +463,6 @@ func (v *verifier) writePattern(in bitstream.Bits, pos, si int, r pir.Rule) {
 			bit++
 		}
 	}
-}
-
-func extractWidthFor(spec *pir.Spec, e pir.Extract, dict bitstream.Dict) int {
-	f, _ := spec.Field(e.Field)
-	if e.LenField == "" {
-		return f.Width
-	}
-	lf, _ := spec.Field(e.LenField)
-	n := int(dict[e.LenField].Uint(0, lf.Width))*e.LenScale + e.LenBias
-	if n < 0 {
-		n = 0
-	}
-	if n > f.Width {
-		n = f.Width
-	}
-	return n
 }
 
 // randomInput returns a uniformly random input of the verifier's maximum

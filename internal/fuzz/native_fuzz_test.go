@@ -11,64 +11,19 @@ package fuzz
 import (
 	"testing"
 
+	"parserhawk/internal/benchdata"
 	"parserhawk/internal/bitstream"
 	"parserhawk/internal/p4"
 	"parserhawk/internal/pir"
 )
 
-const fuzzSeedSrcA = `
-header eth { bit<4> t; }
-header v4  { bit<3> p; }
-parser SeedA {
-    state start {
-        extract(eth);
-        transition select(eth.t) {
-            4       : parse_v4;
-            default : accept;
-        }
-    }
-    state parse_v4 { extract(v4); transition accept; }
-}
-`
-
-const fuzzSeedSrcB = `
-header tag { bit<2> kind; bit<2> more; }
-header opt { bit<3> v; }
-parser SeedB {
-    state start {
-        extract(tag);
-        transition select(tag.kind, tag.more) {
-            (1, 1)  : parse_opt;
-            (2, 0)  : reject;
-            default : accept;
-        }
-    }
-    state parse_opt { extract(opt); transition start; }
-}
-`
-
-const fuzzSeedSrcC = `
-header h { bit<2> n; }
-header b { bit<4> body; }
-parser SeedC {
-    state start {
-        extract(h);
-        transition select(lookahead<bit<1>>()) {
-            1       : parse_b;
-            default : accept;
-        }
-    }
-    state parse_b { extract(b, h.n * 2); transition accept; }
-}
-`
-
 // FuzzSpecInterp fuzzes the §4 reference interpreter: any source the P4
 // front end accepts must interpret without panicking, and Run, RunTrace,
 // and the consumption bound must stay mutually consistent.
 func FuzzSpecInterp(f *testing.F) {
-	f.Add(fuzzSeedSrcA, []byte{0x4a}, 0)
-	f.Add(fuzzSeedSrcB, []byte{0x55, 0xaa}, 8)
-	f.Add(fuzzSeedSrcC, []byte{0xff, 0x00}, 3)
+	f.Add(benchdata.FuzzSeedSrcA, []byte{0x4a}, 0)
+	f.Add(benchdata.FuzzSeedSrcB, []byte{0x55, 0xaa}, 8)
+	f.Add(benchdata.FuzzSeedSrcC, []byte{0xff, 0x00}, 3)
 	f.Fuzz(func(t *testing.T, src string, packet []byte, maxIter int) {
 		spec, err := p4.ParseSpec(src)
 		if err != nil {
@@ -111,9 +66,9 @@ func FuzzSpecInterp(f *testing.F) {
 // validate, canonicalization must be idempotent, and the witness must map
 // canonical executions back to the original's observable behavior.
 func FuzzCanonicalize(f *testing.F) {
-	f.Add(fuzzSeedSrcA, []byte{0x4a})
-	f.Add(fuzzSeedSrcB, []byte{0x55, 0xaa})
-	f.Add(fuzzSeedSrcC, []byte{0xff, 0x00})
+	f.Add(benchdata.FuzzSeedSrcA, []byte{0x4a})
+	f.Add(benchdata.FuzzSeedSrcB, []byte{0x55, 0xaa})
+	f.Add(benchdata.FuzzSeedSrcC, []byte{0xff, 0x00})
 	f.Fuzz(func(t *testing.T, src string, packet []byte) {
 		spec, err := p4.ParseSpec(src)
 		if err != nil {
