@@ -166,51 +166,6 @@ func BenchmarkFigure5(b *testing.B) {
 	}
 }
 
-// BenchmarkRacingCancel measures the tentpole of the cancellable engine on
-// a multi-skeleton compilation: the Large-tran-key parser's 16-bit key
-// exceeds the scaled Tofino's 12-bit key limit, so the portfolio races two
-// key-split skeletons (the two chunk-check orders of Figure 4), and the
-// cheaper order's solution reaches the portfolio entry lower bound.
-// "early-cancel" is the default engine — reaching the bound cancels the
-// sibling skeleton's in-flight solves; "exhaustive" disables early
-// termination so every skeleton runs to completion, which is what the
-// engine did before cancellation was threaded into the solver. The
-// wall-clock gap between the two sub-benchmarks (and the solve counts in
-// the log) is the work cancellation saves.
-func BenchmarkRacingCancel(b *testing.B) {
-	bench, ok := benchdata.ByName("Large tran key")
-	if !ok {
-		b.Fatal("missing Large tran key")
-	}
-	for _, mode := range []struct {
-		name    string
-		exhaust bool
-	}{
-		{"early-cancel", false},
-		{"exhaustive", true},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.DefaultOptions()
-				opts.Workers = 4
-				opts.ExhaustPortfolio = mode.exhaust
-				opts.Timeout = 2 * time.Minute
-				opts.MaxIterations = bench.MaxIterations
-				res, err := core.Compile(bench.Spec, tables.TofinoScaled(), opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("%s: %d entries, %d skeletons, %d budgets, %d solves, %d conflicts",
-						mode.name, res.Resources.Entries, res.Stats.SkeletonsTried,
-						res.Stats.BudgetsTried, res.Stats.Solver.Solves, res.Stats.Solver.Conflicts)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkDPParserGen isolates the baseline generator's own speed.
 func BenchmarkDPParserGen(b *testing.B) {
 	bench, _ := benchdata.ByName("Parse icmp")

@@ -1,18 +1,11 @@
 // Command hawkab compares two hawkbench -stats runs of the same benchmark
-// slice. Its default mode is the CI gate for the incremental architecture
-// — one file with incremental solving sessions (the default) and one with
-// -fresh-encode:
+// slice — typically a build under test against a reference (an earlier
+// build, or the checked-in BENCH_baseline.json) — and answers "did this
+// change alter any outcome, and what did it do to wall time and solver
+// effort":
 //
-//	hawkbench -table 3 -filter Parse -stats incr.json
-//	hawkbench -table 3 -filter Parse -stats fresh.json -fresh-encode
-//	hawkab incr.json fresh.json
-//
-// With -same-mode it is a before/after harness instead: both files come
-// from the same encode mode (typically two builds of the compiler), and
-// the comparison answers "did this change alter any outcome, and what did
-// it do to wall time and solver effort":
-//
-//	hawkab -same-mode before.json after.json
+//	hawkbench -table 3 -filter 'Parse,Deep' -timeout 60s -workers 1 -stats after.json
+//	hawkab after.json BENCH_baseline.json
 //
 // hawkab exits nonzero when the two runs disagree on any compilation
 // outcome — a different OK/failure verdict or a different entry or stage
@@ -33,14 +26,12 @@ import (
 
 func main() {
 	var (
-		maxSlow  = flag.Float64("max-slowdown", 1.25, "fail when the first file's total seconds exceed the second's times this factor")
-		slack    = flag.Float64("slack", 2.0, "absolute seconds of slowdown always tolerated (absorbs timer noise on fast slices)")
-		minCut   = flag.Float64("min-clause-reduction", 0, "fail when the first run saves fewer than this percentage of CNF clauses (0 disables the gate)")
-		sameMode = flag.Bool("same-mode", false, "compare two runs of the same encode mode (before/after a compiler change) instead of incremental vs fresh-encode")
+		maxSlow = flag.Float64("max-slowdown", 1.25, "fail when the first file's total seconds exceed the second's times this factor")
+		slack   = flag.Float64("slack", 2.0, "absolute seconds of slowdown always tolerated (absorbs timer noise on fast slices)")
 	)
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: hawkab [flags] incremental.json fresh.json\n       hawkab -same-mode [flags] before.json after.json")
+		fmt.Fprintln(os.Stderr, "usage: hawkab [flags] after.json before.json")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -53,26 +44,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	aLabel, bLabel := "incremental", "fresh-encode"
-	if *sameMode {
-		aLabel, bLabel = "before", "after"
-		for _, r := range bRuns {
-			if r.FreshEncode != aRuns[0].FreshEncode {
-				fatalf("hawkab: -same-mode: the two files mix encode modes; rerun both with the same -fresh-encode setting")
-			}
-		}
-	} else {
-		for _, r := range aRuns {
-			if r.FreshEncode {
-				fatalf("hawkab: %s: first file contains fresh-encode runs; argument order is incremental.json fresh.json", flag.Arg(0))
-			}
-		}
-		for _, r := range bRuns {
-			if !r.FreshEncode {
-				fatalf("hawkab: %s: second file contains incremental runs; argument order is incremental.json fresh.json", flag.Arg(1))
-			}
-		}
-	}
+	const aLabel, bLabel = "after", "before"
 
 	am, bm := index(aRuns), index(bRuns)
 	var keys []string
@@ -128,9 +100,6 @@ func main() {
 		fatalf("hawkab: FAIL: %s run is %.2fx slower than %s (limit %.2fx + %.1fs slack)",
 			aLabel, ratio(aTot.seconds, bTot.seconds), bLabel, *maxSlow, *slack)
 	}
-	if cut := pctLess(aTot.clauses, bTot.clauses); *minCut > 0 && cut < *minCut {
-		fatalf("hawkab: FAIL: %s run saved only %.1f%% of CNF clauses (gate: %.1f%%)", aLabel, cut, *minCut)
-	}
 	fmt.Println("hawkab: OK: identical outcomes, within the time budget")
 }
 
@@ -184,13 +153,6 @@ func ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-func pctLess(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(b-a) / float64(b)
 }
 
 func fatal(err error) {

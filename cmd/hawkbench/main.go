@@ -41,9 +41,7 @@ func main() {
 		optTimeout  = flag.Duration("timeout", 2*time.Minute, "per-compilation budget for the optimized mode")
 		origTimeout = flag.Duration("orig-timeout", 10*time.Second, "per-compilation budget for the naive mode")
 		statsOut    = flag.String("stats", "", "write per-run solver statistics as JSON to this file (\"-\" for stdout)")
-		fresh       = flag.Bool("fresh-encode", false, "disable incremental solving sessions (re-encode every budget rung)")
 		workers     = flag.Int("workers", 0, "portfolio goroutines inside each compilation (0 = GOMAXPROCS, 1 = sequential compiler)")
-		noExchange  = flag.Bool("no-exchange", false, "disable the portfolio's learnt-clause exchange (A/B measurement)")
 		memoDir     = flag.String("memo-dir", "", "persist the cross-compile memo under this directory (warm-starts later runs)")
 		noMemo      = flag.Bool("no-memo", false, "disable the cross-compile memo even when -memo-dir is set")
 		alias       = flag.Bool("alias", false, "run Table 3 over the field/state-renamed alias corpus (memo hit-rate measurement)")
@@ -84,9 +82,7 @@ func main() {
 		OrigTimeout: *origTimeout,
 		RunOrig:     *runOrig,
 		Filter:      *filter,
-		FreshEncode: *fresh,
 		Workers:     *workers,
-		NoExchange:  *noExchange,
 	}
 	var runs []tables.RunStats
 	if *statsOut != "" {

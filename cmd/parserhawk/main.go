@@ -64,9 +64,7 @@ func main() {
 		dimacsDir  = flag.String("dimacs", "", "directory to write the compile's hardest SAT query as DIMACS CNF")
 		certOut    = flag.String("cert", "", "write a compilation certificate (bisimulation witness, plus the -proof bundle when enabled) to this file")
 		proofOut   = flag.String("proof", "", "enable DRAT proof logging and write the hardest UNSAT query's proof to this file (its CNF lands alongside as <file>.cnf)")
-		fresh      = flag.Bool("fresh-encode", false, "disable incremental solving sessions (re-encode every budget rung)")
 		workers    = flag.Int("workers", 0, "portfolio goroutines for skeleton ladders and refuter probes (0 = GOMAXPROCS, 1 = sequential)")
-		noExchange = flag.Bool("no-exchange", false, "disable the portfolio's learnt-clause exchange between ladders and probes")
 		memoDir    = flag.String("memo-dir", "", "persist the cross-compile memo under this directory (warm-starts later compiles)")
 		noMemo     = flag.Bool("no-memo", false, "disable the cross-compile memo even when -memo-dir is set")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the compilation to this file")
@@ -127,9 +125,7 @@ func main() {
 	}
 	opts.Timeout = *timeout
 	opts.MaxIterations = *maxIter
-	opts.FreshEncode = *fresh
 	opts.Workers = *workers
-	opts.NoExchange = *noExchange
 
 	// -dimacs / -proof: keep the most-conflicted query any budget rung
 	// reports and write it out after compilation — even a failed one, since

@@ -164,38 +164,3 @@ func TestStatsSolverCountersLiveAndMonotone(t *testing.T) {
 		t.Errorf("CEGIS bookkeeping dead: iterations=%d examples=%d", st.CEGISIterations, st.TestCases)
 	}
 }
-
-// TestRacingLadderMatchesSequential checks that every ladder strategy
-// lands on the same entry count: the FreshEncode sequential ladder, the
-// FreshEncode racing ladder (rung racing only exists in that mode — an
-// incremental session climbs by swapping one assumption, so there is
-// nothing to race), and the default incremental session.
-func TestRacingLadderMatchesSequential(t *testing.T) {
-	spec := fig3Spec(t)
-	seq := DefaultOptions()
-	seq.Opt7Parallelism = false
-	seq.FreshEncode = true
-	rs, err := Compile(spec, hw.Tofino(), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	race := DefaultOptions()
-	race.Workers = 4
-	race.FreshEncode = true
-	rr, err := Compile(spec, hw.Tofino(), race)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incr, err := Compile(spec, hw.Tofino(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Resources.Entries != rr.Resources.Entries {
-		t.Errorf("racing ladder changed the result: sequential=%d entries, racing=%d entries",
-			rs.Resources.Entries, rr.Resources.Entries)
-	}
-	if rs.Resources.Entries != incr.Resources.Entries {
-		t.Errorf("incremental session changed the result: fresh=%d entries, incremental=%d entries",
-			rs.Resources.Entries, incr.Resources.Entries)
-	}
-}

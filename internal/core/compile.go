@@ -171,7 +171,7 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 		}
 	}
 	provablyCheapest := func(r *Result) bool {
-		return !opts.ExhaustPortfolio && minLB > 0 && objective.Cost(r.Resources) <= minLB
+		return minLB > 0 && objective.Cost(r.Resources) <= minLB
 	}
 
 	// Cross-compile memo keys (tier 2: skeleton-UNSAT facts; tier 3: glue
@@ -183,53 +183,27 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 		memoK = computeMemoKeys(effSynth, synthSks, profile, opts)
 	}
 
-	raceCtx, cancelRace := context.WithCancel(ctx)
-	defer cancelRace()
-
-	var outs []attemptOut
-	if opts.Opt7Parallelism && effectiveWorkers(opts) > 1 {
-		// §6.7 as a bounded portfolio: skeletons form a work queue drained
-		// by Options.Workers goroutines, idle workers run refuter probes
-		// against still-running ladders, and glue clauses flow through a
-		// per-skeleton exchange (see portfolio.go for why every scheduler
-		// action is schedule-invariant). Results come back in skeleton-index
-		// order, so the reduction below resolves ties exactly as the
-		// sequential loop does.
-		outs, stats.Portfolio = runPortfolio(raceCtx, portfolioInput{
-			spec: spec, effOrig: effOrig, effSynth: effSynth,
-			origSks: origSks, synthSks: synthSks,
-			profile: profile, opts: opts,
-			workers:          effectiveWorkers(opts),
-			provablyCheapest: provablyCheapest,
-			memo:             opts.Memo, keys: memoK,
-		})
-	} else {
-		// Sequential portfolio (single-CPU machines, or Opt7 disabled):
-		// every structural subproblem still runs — chunk-check order alone
-		// can change the entry count (Figure 4's V1 vs V2) — unless one
-		// reaches the portfolio lower bound, which no later subproblem can
-		// improve on. A tier-2 memo hit recalls a ladder's ErrNoSolution
-		// without running it; the verdict is identical because the recorded
-		// fact (solver UNSAT at the cap) is exactly what forces that ladder
-		// to ErrNoSolution.
-		for i := range origSks {
-			if memoK != nil && memoK.tier2[i] != "" && opts.Memo.SkeletonUnsat(memoK.tier2[i]) {
-				outs = append(outs, attemptOut{err: ErrNoSolution})
-				stats.Portfolio.SkeletonsMemoSkipped++
-				continue
-			}
-			eng, low, capN := newSkeletonEngine(spec, effOrig, effSynth, &origSks[i], &synthSks[i], profile, opts)
-			r, solver, err := eng.runLadder(raceCtx, low, capN)
-			if memoK != nil && memoK.tier2[i] != "" && errors.Is(err, ErrNoSolution) && eng.capUnsat {
-				opts.Memo.RecordSkeletonUnsat(memoK.tier2[i])
-			}
-			o := attemptOut{res: r, solver: solver, err: err}
-			outs = append(outs, o)
-			if o.err == nil && provablyCheapest(o.res) {
-				break
-			}
-		}
+	// §6.7 as a bounded portfolio: skeletons form a work queue drained by
+	// the resolved worker count, idle workers run refuter probes against
+	// still-running ladders, and glue clauses flow through a per-skeleton
+	// exchange (see portfolio.go for why every scheduler action is
+	// schedule-invariant). Without Opt7 the same scheduler runs on the
+	// caller's goroutine alone. Results come back in skeleton-index order,
+	// so the reduction below resolves ties identically at every worker
+	// count.
+	workers := 1
+	if opts.Opt7Parallelism {
+		workers = effectiveWorkers(opts)
 	}
+	var outs []attemptOut
+	outs, stats.Portfolio = runPortfolio(ctx, portfolioInput{
+		spec: spec, effOrig: effOrig, effSynth: effSynth,
+		origSks: origSks, synthSks: synthSks,
+		profile: profile, opts: opts,
+		workers:          workers,
+		provablyCheapest: provablyCheapest,
+		memo:             opts.Memo, keys: memoK,
+	})
 
 	var best *Result
 	var firstErr error
@@ -384,23 +358,6 @@ func resultCheaper(profile hw.Profile, a, b tcam.Resources) bool {
 	return profile.Objective.For(profile.Arch).Less(a, b)
 }
 
-// compileSkeleton runs CEGIS over one skeleton. spec is the user's
-// original specification (used for the emitted program's field table);
-// effOrig/effSynth are the effective verification specs — equal to
-// spec/scaled-spec for loop-capable targets, their bounded unrollings for
-// pipelined ones.
-//
-// The iterative-deepening entry-budget ladder runs each rung through
-// runBudget. With Opt7 and more than one worker, adjacent rungs (budgets k
-// and k+1) race in parallel with first-useful-win semantics; otherwise the
-// ladder is strictly sequential. The returned SolverStats totals the
-// solver effort of every rung attempted, including losers — it is reported
-// even when the skeleton fails, so Compile can account for the whole race.
-func compileSkeleton(ctx context.Context, spec, effOrig, effSynth *pir.Spec, origSk, synthSk *skeleton, profile hw.Profile, opts Options) (*Result, SolverStats, error) {
-	eng, low, capN := newSkeletonEngine(spec, effOrig, effSynth, origSk, synthSk, profile, opts)
-	return eng.runLadder(ctx, low, capN)
-}
-
 // ladderBounds computes one skeleton's budget ladder endpoints: the cap
 // (sum of per-state maxima, clamped by the option and device limits) and
 // the starting rung. The ladder always climbs entry counts — entries bound
@@ -434,9 +391,12 @@ func ladderBounds(effSynth *pir.Spec, synthSk *skeleton, profile hw.Profile, opt
 }
 
 // newSkeletonEngine builds the immutable ladder context for one skeleton
-// and returns it with the ladder endpoints. The portfolio scheduler uses
-// the endpoints for refuter targeting and lower-bound domination before
-// any ladder runs.
+// and returns it with the ladder endpoints. spec is the user's original
+// specification (used for the emitted program's field table);
+// effOrig/effSynth are the effective verification specs — equal to
+// spec/scaled-spec for loop-capable targets, their bounded unrollings for
+// pipelined ones. The portfolio scheduler uses the endpoints for refuter
+// targeting before any ladder runs.
 func newSkeletonEngine(spec, effOrig, effSynth *pir.Spec, origSk, synthSk *skeleton, profile hw.Profile, opts Options) (*skeletonEngine, int, int) {
 	low, capN := ladderBounds(effSynth, synthSk, profile, opts)
 	eng := &skeletonEngine{
@@ -451,23 +411,6 @@ func newSkeletonEngine(spec, effOrig, effSynth *pir.Spec, origSk, synthSk *skele
 		synthStart: time.Now(),
 	}
 	return eng, low, capN
-}
-
-// runLadder dispatches one skeleton's budget ladder to the architecture
-// the options select.
-func (eng *skeletonEngine) runLadder(ctx context.Context, low, capN int) (*Result, SolverStats, error) {
-	opts := eng.opts
-	if opts.FreshEncode && opts.Opt7Parallelism && effectiveWorkers(opts) > 1 && capN > low {
-		return eng.raceLadder(ctx, low, capN)
-	}
-	env, err := eng.newEnv()
-	if err != nil {
-		return nil, SolverStats{}, err
-	}
-	if opts.FreshEncode {
-		return eng.sequentialLadder(ctx, env, low, capN)
-	}
-	return eng.incrementalLadder(ctx, env, low, capN)
 }
 
 // skeletonEngine is the immutable context of one skeleton's budget ladder.
@@ -491,21 +434,16 @@ type skeletonEngine struct {
 	// authoritative ladder session attaches export-only: it publishes the
 	// glue clauses it learns (tagged with its example epoch) but never
 	// imports, so its search — and therefore the final model, the entry
-	// table, and the stage count — is bit-identical to a run without any
-	// portfolio. Only the scheduler's refuter probes import.
+	// table, and the stage count — is bit-identical to a one-worker run,
+	// which has no pool. Only the scheduler's refuter probes import.
 	exchange *sat.Exchange
 }
 
-// budgetEnv is the mutable CEGIS environment one budget runner works in:
-// the verifier pair (whose sampling RNGs advance as candidates are
-// checked) and the growing example pool. The sequential ladder threads one
-// env through every rung, carrying counterexamples up the ladder as
-// classic iterative deepening does. Racing rungs each get an isolated env,
-// so a rung's outcome is a deterministic function of (spec, skeleton,
-// budget, seed) — never of sibling timing. Sharing the pool across racing
-// rungs looks attractive (counterexamples are valid at every budget) but
-// makes the entry count scheduling-dependent: a sibling's counterexample
-// arriving before rung k's solve can flip that solve from SAT to UNSAT.
+// budgetEnv is the mutable CEGIS environment of one ladder or refuter
+// probe: the verifier pair (whose sampling RNGs advance as candidates are
+// checked) and the growing example pool. A ladder threads one env through
+// every rung, carrying counterexamples up the ladder as classic iterative
+// deepening does.
 type budgetEnv struct {
 	ver, origVer *verifier
 	examples     *exampleSet
@@ -539,8 +477,7 @@ type example struct {
 }
 
 // exampleSet is an append-only CEGIS example pool. Each pool belongs to a
-// single budget runner (or the whole sequential ladder), so it needs no
-// locking.
+// single ladder or refuter probe, so it needs no locking.
 type exampleSet struct {
 	spec       *pir.Spec
 	iterBudget int
@@ -564,10 +501,9 @@ func (e *exampleSet) size() int { return len(e.ex) }
 // terminal error. stats always carries the rung's own solver effort so the
 // scheduler can account for losers too.
 type rungResult struct {
-	budget int
-	res    *Result
-	err    error
-	stats  Stats
+	res   *Result
+	err   error
+	stats Stats
 	// unsat marks an errBudgetTooSmall produced by a genuine solver UNSAT
 	// (no table at this budget exists), as opposed to one produced by a
 	// device-validation failure of a found model — only the former is a
@@ -575,43 +511,20 @@ type rungResult struct {
 	unsat bool
 }
 
-// sequentialLadder is the classic iterative-deepening loop of the
-// FreshEncode architecture: one budget at a time, each rung rebuilding its
-// solver from scratch, climbing on errBudgetTooSmall, with counterexamples
-// (and the verifiers' RNG state) carried up the ladder through the shared
-// env.
-func (eng *skeletonEngine) sequentialLadder(ctx context.Context, env *budgetEnv, low, capN int) (*Result, SolverStats, error) {
-	var collected []*rungResult
-	for budget := low; budget <= capN; budget++ {
-		sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, eng.opts, budget)
-		r := eng.runBudget(ctx, budget, env, sy)
-		collected = append(collected, r)
-		if r.err == nil {
-			return eng.assemble(r, collected)
-		}
-		if errors.Is(r.err, errBudgetTooSmall) {
-			continue
-		}
-		return nil, sumSolver(collected), r.err
-	}
-	if n := len(collected); n > 0 && collected[n-1].unsat {
-		eng.capUnsat = true
-	}
-	return nil, sumSolver(collected), ErrNoSolution
-}
-
-// incrementalLadder is the default architecture: one persistent solving
-// session serves the entire budget ladder. The skeleton's symbolic entry
+// runLadder climbs one skeleton's iterative-deepening entry-budget ladder
+// over one persistent solving session. The skeleton's symbolic entry
 // table is encoded once at the ladder cap; rung k solves under the
 // assumption that at most k entries are enabled, so an UNSAT rung's
 // learned clauses, the solver's variable activity, and every encoded
 // counterexample carry directly into rung k+1 instead of being rebuilt.
-// Rungs are strictly sequential — with nothing to re-encode, a rung
-// transition is one assumption swap, which removes the racing ladder's
-// reason to exist and makes the outcome deterministic regardless of
-// worker count.
-func (eng *skeletonEngine) incrementalLadder(ctx context.Context, env *budgetEnv, low, capN int) (*Result, SolverStats, error) {
-	sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, eng.opts, capN)
+// The returned SolverStats totals every rung attempted, and is reported
+// even when the skeleton fails, so Compile can account for all the work.
+func (eng *skeletonEngine) runLadder(ctx context.Context, low, capN int) (*Result, SolverStats, error) {
+	env, err := eng.newEnv()
+	if err != nil {
+		return nil, SolverStats{}, err
+	}
+	sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, eng.opts)
 	if eng.exchange != nil {
 		sy.sess.AttachExchange(eng.exchange, ladderProducerID, -1)
 	}
@@ -656,7 +569,7 @@ func (eng *skeletonEngine) refuteStatus(ctx context.Context, capN int, seed int6
 	}
 	opts := eng.opts
 	opts.QuerySink = nil // probes never own the hardest-query dump
-	sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, opts, capN)
+	sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, opts)
 	for _, e := range env.examples.pending(0) {
 		if err := sy.addTestCase(e.in, e.out); err != nil {
 			return sat.Unknown, solverSnapshot(sy.s)
@@ -699,120 +612,10 @@ func (eng *skeletonEngine) refuteStatus(ctx context.Context, capN int, seed int6
 	return st, solverSnapshot(sy.s)
 }
 
-// scoutDelay is how long a speculative budget rung (the scout at k+1)
-// waits before starting work. When rung k succeeds faster than this — the
-// common case once Opt4's lower bound makes the first rung tight — the
-// scout is canceled before it burns any solver time, keeping the racing
-// ladder's wall time at parity with the sequential one on easy problems
-// while still overlapping slow UNSAT rungs on hard ones.
-const scoutDelay = 50 * time.Millisecond
-
-// raceLadder races adjacent entry budgets (k and k+1) with first-useful-win
-// semantics: rung k's outcome is authoritative — its success wins
-// immediately and cancels the scout at k+1, while its UNSAT promotes the
-// scout to authoritative and launches a new scout at k+2. A scout's success
-// is held until every smaller rung has resolved UNSAT, preserving the
-// minimal-entry guarantee of strict iterative deepening at roughly half the
-// wall-clock when rungs are solver-bound. Each rung runs in an isolated
-// budgetEnv, so its outcome — and therefore the ladder's final entry count
-// — does not depend on sibling timing.
-func (eng *skeletonEngine) raceLadder(ctx context.Context, low, capN int) (*Result, SolverStats, error) {
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	ch := make(chan *rungResult, capN-low+1)
-	next := low
-	inFlight := 0
-	launch := func() {
-		if next > capN {
-			return
-		}
-		b := next
-		next++
-		inFlight++
-		scout := b > low
-		go func() {
-			if scout {
-				select {
-				case <-time.After(scoutDelay):
-				case <-raceCtx.Done():
-					ch <- &rungResult{budget: b, err: errCanceled}
-					return
-				}
-			}
-			env, err := eng.newEnv()
-			if err != nil {
-				ch <- &rungResult{budget: b, err: err}
-				return
-			}
-			sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, eng.opts, b)
-			ch <- eng.runBudget(raceCtx, b, env, sy)
-		}()
-	}
-	launch()
-	launch()
-
-	outcomes := map[int]*rungResult{}
-	var collected []*rungResult
-	drain := func() {
-		cancel()
-		for inFlight > 0 {
-			r := <-ch
-			inFlight--
-			collected = append(collected, r)
-			outcomes[r.budget] = r
-		}
-	}
-	// smallestSuccess returns the successful rung with the smallest budget,
-	// if any. It is how a deadline or terminal failure at one rung is kept
-	// from masking a success already achieved by a sibling.
-	smallestSuccess := func() *rungResult {
-		var w *rungResult
-		for _, r := range outcomes {
-			if r.err == nil && (w == nil || r.budget < w.budget) {
-				w = r
-			}
-		}
-		return w
-	}
-
-	cur := low
-	for inFlight > 0 {
-		r := <-ch
-		inFlight--
-		collected = append(collected, r)
-		outcomes[r.budget] = r
-		for {
-			o, ok := outcomes[cur]
-			if !ok {
-				break
-			}
-			if o.err == nil {
-				drain()
-				return eng.assemble(o, collected)
-			}
-			if errors.Is(o.err, errBudgetTooSmall) {
-				cur++
-				launch()
-				continue
-			}
-			// Terminal outcome (cancellation or hard failure) at the
-			// authoritative rung: a sibling may still have succeeded at a
-			// larger budget — prefer any such result over the error.
-			drain()
-			if w := smallestSuccess(); w != nil {
-				return eng.assemble(w, collected)
-			}
-			return nil, sumSolver(collected), o.err
-		}
-	}
-	return nil, sumSolver(collected), ErrNoSolution
-}
-
 // assemble merges the winning rung's result with the effort of every other
 // rung attempted on this skeleton: synthesis/verify times and CEGIS
-// iteration counts are summed (they measure work done, as the sequential
-// ladder always did), and SolverStats totals every rung's solver.
+// iteration counts are summed (they measure work done), and SolverStats
+// totals every rung's solver.
 func (eng *skeletonEngine) assemble(w *rungResult, collected []*rungResult) (*Result, SolverStats, error) {
 	st := w.res.Stats
 	var total SolverStats
@@ -872,12 +675,12 @@ func solverSnapshot(s *bv.Solver) SolverStats {
 // carry explicit interrupt signals (sat.ErrCanceled, the verifier's
 // interrupted flag).
 //
-// The synthesizer may be shared across rungs (the incremental ladder
-// passes one persistent session), so the rung's SolverStats are computed
-// as the delta from the counters it entered with — summing rung stats
-// never double-counts session effort.
+// The synthesizer is shared across rungs (the ladder passes one
+// persistent session), so the rung's SolverStats are computed as the delta
+// from the counters it entered with — summing rung stats never
+// double-counts session effort.
 func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budgetEnv, sy *synthesizer) *rungResult {
-	out := &rungResult{budget: budget}
+	out := &rungResult{}
 	stop := func() bool {
 		select {
 		case <-ctx.Done():
@@ -1029,7 +832,8 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			// specs); fall back by disabling Opt2 for this skeleton.
 			o2 := eng.opts
 			o2.Opt2BitWidthMin = false
-			res, subSolver, suberr := compileSkeleton(ctx, eng.spec, eng.effOrig, eng.effOrig, eng.origSk, eng.origSk, eng.profile, o2)
+			fallback, low, capN := newSkeletonEngine(eng.spec, eng.effOrig, eng.effOrig, eng.origSk, eng.origSk, eng.profile, o2)
+			res, subSolver, suberr := fallback.runLadder(ctx, low, capN)
 			own := claim()
 			if dump != nil {
 				eng.opts.QuerySink(*dump)

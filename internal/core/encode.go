@@ -19,22 +19,19 @@ import (
 // one appends the unrolled FSM-simulation circuit of Figure 9 evaluated on
 // that concrete input, with the TCAM entry contents left symbolic.
 //
-// In the default incremental mode the table is encoded at the entry-budget
-// ladder's cap and each rung k solves under the assumption "at most k
-// entries enabled" (the CountLadder threshold literal), so learned clauses,
-// variable activity, and every previously encoded counterexample carry
-// across rungs. With Options.FreshEncode the old architecture applies: one
-// synthesizer per rung with the budget baked in as a hard AtMostK.
+// The table is encoded at the entry-budget ladder's cap and each rung k
+// solves under the assumption "at most k entries enabled" (the CountLadder
+// threshold literal), so learned clauses, variable activity, and every
+// previously encoded counterexample carry across rungs.
 type synthesizer struct {
 	spec    *pir.Spec
 	sk      *skeleton
 	profile hw.Profile
 	opts    Options
-	budget  int // hard entry cap: the rung budget (FreshEncode) or the ladder cap
 
 	sess    *solve.Session
 	s       *bv.Solver
-	ladder  []bv.Lit     // incremental mode: count thresholds over all enabled lits
+	ladder  []bv.Lit     // count thresholds over all enabled lits
 	fed     int          // CEGIS examples already encoded
 	entries [][]entryVar // [state][entry]
 	targets int          // number of transition targets: len(states) + accept + reject
@@ -66,10 +63,9 @@ const (
 	tgtRejectOff = 1
 )
 
-// newSynthesizer builds the symbolic entry table for a skeleton under a
-// global entry budget (the rung budget in FreshEncode mode, the ladder cap
-// otherwise).
-func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Options, budget int) *synthesizer {
+// newSynthesizer builds the symbolic entry table for a skeleton, with a
+// counting ladder over its enable bits for solveAt's budget assumptions.
+func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Options) *synthesizer {
 	sess := solve.New()
 	if opts.QuerySink != nil || opts.LogProofs {
 		sess = solve.NewRecording()
@@ -82,7 +78,6 @@ func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Optio
 		sk:      sk,
 		profile: profile,
 		opts:    opts,
-		budget:  budget,
 		sess:    sess,
 		s:       sess.Solver(),
 		targets: len(sk.States) + 2,
@@ -165,33 +160,18 @@ func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Optio
 		}
 		sy.entries = append(sy.entries, evs)
 	}
-	if opts.FreshEncode {
-		// Old architecture: the budget is a hard cardinality constraint, so
-		// every rung re-encodes the whole instance.
-		if budget < len(allEnabled) {
-			sy.s.AtMostK(allEnabled, budget)
-		}
-	} else {
-		// Incremental sessions: encode a full counting ladder once; rung k
-		// becomes the assumption ladder[k].Not() ("not k+1 or more enabled"),
-		// so climbing the budget ladder swaps one assumption literal instead
-		// of rebuilding and re-bit-blasting the instance.
-		sy.ladder = sy.s.CountLadder(allEnabled)
-	}
+	// Encode a full counting ladder once; rung k becomes the assumption
+	// ladder[k].Not() ("not k+1 or more enabled"), so climbing the budget
+	// ladder swaps one assumption literal instead of rebuilding and
+	// re-bit-blasting the instance.
+	sy.ladder = sy.s.CountLadder(allEnabled)
 	return sy
 }
 
-// solveAt runs the SAT search for one entry-budget rung; cancel aborts
-// long searches. In incremental mode the budget is applied as a scoped
-// assumption over the counting ladder; in FreshEncode mode the budget was
-// baked in at construction and must match.
+// solveAt runs the SAT search for one entry-budget rung, applying the
+// budget as a scoped assumption over the counting ladder; cancel aborts
+// long searches.
 func (sy *synthesizer) solveAt(budget int, cancel func() bool) sat.Status {
-	if sy.opts.FreshEncode {
-		if budget != sy.budget {
-			panic("core: FreshEncode synthesizer solved at a different budget than it encodes")
-		}
-		return sy.sess.Solve(cancel)
-	}
 	if budget < len(sy.ladder) {
 		scope := sy.sess.Assume(sy.ladder[budget].Not())
 		defer scope.Drop()

@@ -12,14 +12,9 @@ import "fmt"
 // Deliberately excluded are the fields the compiler's determinism
 // contracts prove outcome-invariant, so they never fragment the cache:
 //
-//   - Workers: the portfolio scheduler reproduces the sequential
-//     compiler's verdicts, entry tables, and stage counts at every worker
-//     count (see portfolio.go and the w4-vs-w1 CI identity job).
-//   - FreshEncode: incremental sessions and per-rung re-encoding agree on
-//     every outcome (the ab-smoke CI gate).
-//   - NoExchange / ExhaustPortfolio: measurement toggles; the
-//     authoritative ladders never import clauses, and early termination
-//     only skips work a provably-cheapest result already dominates.
+//   - Workers: the portfolio scheduler reproduces the one-worker run's
+//     verdicts, entry tables, and stage counts at every worker count (see
+//     portfolio.go and the w4-vs-w1 CI identity job).
 //   - Timeout: a deadline decides whether a result arrives, never which
 //     result arrives. Timed-out compilations must not be cached at all.
 //   - QuerySink / Seed-independent instrumentation: observation only.

@@ -102,8 +102,8 @@ func TestObjectiveAutoMatchesExplicitLegacyObjective(t *testing.T) {
 	for _, arm := range arms {
 		for _, spec := range specs {
 			for _, w := range []int{1, 4} {
-				base := compileAtWorkers(t, spec, arm.auto, w, false)
-				got := compileAtWorkers(t, spec, arm.legacy, w, false)
+				base := compileAtWorkers(t, spec, arm.auto, w)
+				got := compileAtWorkers(t, spec, arm.legacy, w)
 				checkIdentical(t, fmt.Sprintf("%s on %s workers=%d auto-vs-explicit",
 					spec.Name, arm.auto.Name, w), base, got)
 			}

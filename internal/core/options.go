@@ -36,8 +36,9 @@ type Options struct {
 	// Opt6 treats varbit fields as fixed-size during synthesis and converts
 	// them back afterwards (§6.6).
 	Opt6FreezeVarbits bool
-	// Opt7 runs loop-aware/loop-free skeletons and alternative structural
-	// subproblems in parallel, taking the first success (§6.7).
+	// Opt7 runs the alternative structural subproblems (skeletons) in
+	// parallel on Workers goroutines (§6.7). Off, the same portfolio runs
+	// on the caller's goroutine alone.
 	Opt7Parallelism bool
 
 	// Timeout bounds the total compilation time; zero means no limit.
@@ -73,37 +74,10 @@ type Options struct {
 	// use it to compare pruned against unpruned compilations.
 	SkipLint bool
 
-	// ExhaustPortfolio disables early termination of the skeleton
-	// portfolio: every structural subproblem runs to completion even after
-	// a sibling has produced a provably-cheapest result (one at the
-	// portfolio's entry lower bound). The evaluation harness uses it to
-	// measure how much work early cancellation saves; leave it off
-	// otherwise.
-	ExhaustPortfolio bool
-
-	// FreshEncode disables incremental solving sessions and restores the
-	// old architecture: every entry-budget rung rebuilds a fresh solver,
-	// re-bit-blasts the symbolic entry table, and re-encodes every CEGIS
-	// example accumulated so far (with Opt7, adjacent rungs race in
-	// parallel). Off — the default — one persistent session per skeleton
-	// encodes the table once at the ladder cap and each rung is a solve
-	// under a cardinality assumption, carrying learned clauses, variable
-	// activity, and encoded counterexamples across rungs. The A/B harness
-	// and CI smoke job flip this to measure what the sessions save, exactly
-	// as ExhaustPortfolio does for racing.
-	FreshEncode bool
-
-	// NoExchange disables the portfolio's learnt-clause exchange: ladders
-	// stop publishing glue clauses and refuter probes stop importing them.
-	// Probes and the shared best-cost bound still run. The flag exists for
-	// A/B measurement of what the exchange is worth; outcomes are identical
-	// either way, because the authoritative ladder sessions never import.
-	NoExchange bool
-
 	// QuerySink, when non-nil, enables DIMACS capture: each budget rung
 	// reports its most-conflicted SAT query (instance plus that solve's
 	// assumptions as unit clauses) for offline solver debugging. The sink
-	// may be called concurrently from racing skeleton attempts. Capture
+	// may be called concurrently from parallel skeleton ladders. Capture
 	// costs one clause copy per AddClause; leave nil otherwise.
 	QuerySink func(QueryDump)
 
@@ -212,16 +186,17 @@ type Stats struct {
 	// rungs that lost the race or were canceled, and the portfolio's refuter
 	// probes, so it measures total search effort, not just the winner's.
 	Solver SolverStats `json:"solver"`
-	// Portfolio reports the parallel scheduler's activity: worker count,
+	// Portfolio reports the skeleton scheduler's activity: worker count,
 	// ladders and refuter probes run, skeletons killed by refutation or the
-	// shared best-cost bound, and clause-exchange traffic. All zero when the
-	// compilation ran the sequential path (-workers 1, or Opt7 off).
+	// shared best-cost bound, and clause-exchange traffic. Every compile
+	// runs the scheduler; at one worker (-workers 1, or Opt7 off) no
+	// refuter probe runs and no clause pool exists, so those counters stay
+	// zero.
 	Portfolio PortfolioStats `json:"portfolio"`
 	// Iterations is the winning budget rung's per-CEGIS-iteration trace.
-	// Solver snapshots within it are cumulative for the solver that ran the
-	// rung — the skeleton's persistent session (which may enter the rung
-	// with non-zero counters from earlier rungs), or the rung's own solver
-	// in FreshEncode mode — so they grow monotonically across the trace.
+	// Solver snapshots within it are cumulative for the skeleton's
+	// persistent session (which may enter the rung with non-zero counters
+	// from earlier rungs), so they grow monotonically across the trace.
 	Iterations []IterationStats `json:"iterations,omitempty"`
 }
 
@@ -243,9 +218,8 @@ type SolverStats struct {
 
 	// RetainedClauses sums, over every Solve call, the learned clauses
 	// alive when the call started — CDCL work reused from earlier calls in
-	// the same session rather than re-derived. Always zero in FreshEncode
-	// mode within a rung's first solve and across rungs; with incremental
-	// sessions it measures what the persistent clause database was worth.
+	// the same session rather than re-derived: what the persistent clause
+	// database was worth.
 	RetainedClauses int64 `json:"retained_clauses"`
 	// ConsHits counts gate constructions the bit-blaster's hash-consing
 	// caches answered without emitting CNF — duplicate subcircuits (mostly
@@ -263,7 +237,7 @@ type SolverStats struct {
 	// clause exchange; ImportedClauses counts clauses adopted from it by
 	// refuter probes; ImportHits counts the times an imported clause
 	// participated in conflict analysis — proof work the exchange saved.
-	// All zero outside the parallel portfolio path.
+	// All zero at one worker, where no clause pool exists.
 	ExportedClauses int64 `json:"exported_clauses"`
 	ImportedClauses int64 `json:"imported_clauses"`
 	ImportHits      int64 `json:"import_hits"`

@@ -10,11 +10,14 @@ import (
 	"parserhawk/internal/sat"
 )
 
-// The portfolio scheduler replaces the one-goroutine-per-skeleton race:
-// candidate skeletons form a work queue drained by Options.Workers
-// goroutines, each ladder owning its own solve.Session. Idle workers run
-// refuter probes (skeletonEngine.refute) against still-running ladders,
-// sharing glue clauses with them through a per-skeleton sat.Exchange.
+// The portfolio scheduler is how every compile runs its skeletons:
+// candidate skeletons form a work queue drained by the resolved worker
+// count, each ladder owning its own solve.Session. The calling goroutine
+// is worker 0, so a one-worker compile never leaves it. With more than one
+// worker, idle workers run refuter probes (skeletonEngine.refuteStatus)
+// against still-running ladders, sharing glue clauses with them through a
+// per-skeleton sat.Exchange. One worker never probes (it only asks for a
+// job once its ladder is done), so it gets no pools either.
 //
 // Determinism contract. The scheduler may only act on facts that hold
 // under every schedule:
@@ -27,13 +30,13 @@ import (
 //     verdict the ladder would have reached.
 //   - The shared best-cost bound cancels dominated work only through the
 //     provably-cheapest rule, and the reduction is truncated to the index
-//     prefix the sequential loop would have visited (see onSuccess and
-//     runPortfolio). Per-skeleton entry lower bounds must NOT prune
-//     siblings, even though it looks safe: post-synthesis folding
-//     (foldSingletonStates) can shrink a model below its skeleton's
-//     pre-fold lower bound, so a "dominated" skeleton can still win the
-//     reduction. The sequential loop runs every skeleton for exactly this
-//     reason, and the portfolio must match it.
+//     prefix a one-worker run visits (see onSuccess and runPortfolio).
+//     Per-skeleton entry lower bounds must NOT prune siblings, even though
+//     it looks safe: post-synthesis folding (foldSingletonStates) can
+//     shrink a model below its skeleton's pre-fold lower bound, so a
+//     "dominated" skeleton can still win the reduction. One worker runs
+//     every skeleton up to the first provably-cheapest result for exactly
+//     this reason.
 //   - The reduction itself runs in skeleton-index order with a strict
 //     "cheaper" comparison, so ties resolve to the lowest index no matter
 //     which ladder finished first.
@@ -106,9 +109,9 @@ type portfolio struct {
 	stats PortfolioStats
 }
 
-// runPortfolio drains the skeleton queue on in.workers goroutines and
-// returns the started attempts in skeleton-index order (skipped skeletons
-// contribute nothing, exactly like the sequential loop's early break).
+// runPortfolio drains the skeleton queue on in.workers workers — the
+// caller plus in.workers-1 goroutines — and returns the started attempts in
+// skeleton-index order (skipped skeletons contribute nothing).
 func runPortfolio(ctx context.Context, in portfolioInput) ([]attemptOut, PortfolioStats) {
 	n := len(in.origSks)
 	p := &portfolio{
@@ -145,7 +148,7 @@ func runPortfolio(ctx context.Context, in portfolioInput) ([]attemptOut, Portfol
 			p.stats.SkeletonsMemoSkipped++
 			continue
 		}
-		if !in.opts.NoExchange && !in.opts.FreshEncode {
+		if in.workers > 1 {
 			p.pools[i] = sat.NewExchange(0)
 			p.engs[i].exchange = p.pools[i]
 			// Tier-3 warm start: seed the pool with glue clauses a previous
@@ -173,25 +176,26 @@ func runPortfolio(ctx context.Context, in portfolioInput) ([]attemptOut, Portfol
 	}()
 
 	var wg sync.WaitGroup
-	for w := 0; w < in.workers; w++ {
+	for w := 1; w < in.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			p.work()
 		}()
 	}
+	p.work()
 	wg.Wait()
 	close(watcherDone)
 	for i := range p.cancels {
 		p.cancels[i]()
 	}
 
-	// Truncate to the prefix the sequential loop would have visited: it
-	// stops after the first (lowest-index) provably-cheapest success, so
-	// results beyond that index — even ones whose ladders happened to
-	// finish first — must not reach the reduction. Every index up to the
-	// cut has run to completion (cancellation only ever targets higher
-	// indices), so the prefix is exactly the sequential attempt set.
+	// Truncate to the prefix a one-worker run visits: it stops after the
+	// first (lowest-index) provably-cheapest success, so results beyond
+	// that index — even ones whose ladders happened to finish first — must
+	// not reach the reduction. Every index up to the cut has run to
+	// completion (cancellation only ever targets higher indices), so the
+	// prefix is exactly the one-worker attempt set.
 	cut := n
 	for i := 0; i < n; i++ {
 		if o := p.outs[i]; o != nil && o.err == nil && in.provablyCheapest(o.res) {
@@ -279,9 +283,7 @@ func (p *portfolio) nextJob() (jobKind, int, int) {
 	defer p.mu.Unlock()
 	for {
 		// A dead compile context drains the still-pending ladders as
-		// canceled attempts without running them — the sequential loop
-		// likewise visits every skeleton after a deadline and records the
-		// immediate errCanceled.
+		// canceled attempts without running them.
 		if p.ctx.Err() != nil && p.pendingN > 0 {
 			for i := p.cursor; i < len(p.phase); i++ {
 				if p.phase[i] == skelPending {
@@ -371,8 +373,8 @@ func (p *portfolio) runLadder(idx int) {
 }
 
 // onSuccess applies the shared best-cost bound after a ladder win: a result
-// at the portfolio's entry lower bound cancels every higher-index sibling,
-// mirroring the sequential loop's early break. Lock held.
+// at the portfolio's entry lower bound cancels every higher-index sibling.
+// Lock held.
 //
 // Only higher-index work is dropped, and lower-index ladders run to
 // completion: because skeletons are claimed in index order, every index

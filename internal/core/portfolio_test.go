@@ -31,12 +31,11 @@ type portfolioRun struct {
 	ladders int
 }
 
-func compileAtWorkers(t *testing.T, spec *pir.Spec, profile hw.Profile, workers int, noExchange bool) portfolioRun {
+func compileAtWorkers(t *testing.T, spec *pir.Spec, profile hw.Profile, workers int) portfolioRun {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Timeout = 60 * time.Second
 	opts.Workers = workers
-	opts.NoExchange = noExchange
 	res, err := Compile(spec, profile, opts)
 	out := portfolioRun{err: err}
 	if err != nil {
@@ -47,7 +46,7 @@ func compileAtWorkers(t *testing.T, spec *pir.Spec, profile hw.Profile, workers 
 	out.stages = res.Resources.Stages
 	out.budget = res.Stats.EntryBudget
 	out.ladders = res.Stats.Portfolio.LaddersRun
-	if workers > 1 && res.Stats.Portfolio.Workers != workers {
+	if res.Stats.Portfolio.Workers != workers {
 		t.Errorf("%s on %s: Stats.Portfolio.Workers = %d, want %d",
 			spec.Name, profile.Name, res.Stats.Portfolio.Workers, workers)
 	}
@@ -111,9 +110,10 @@ func exampleSpecs(t *testing.T) []*pir.Spec {
 
 // TestPortfolioDeterminismOverExampleCorpus compiles every example spec at
 // -workers 1, 2, and 8 on both device families and requires identical
-// verdicts, entry tables, and stage counts. The -workers 1 run never enters
-// the portfolio scheduler, so this pins the parallel path to the sequential
-// semantics, refuters, clause exchange, domination and all.
+// verdicts, entry tables, and stage counts. The -workers 1 run has no clause
+// pools and runs no refuter probes, while the 2- and 8-worker runs have
+// both, so this pins exchange-off against exchange-on: refuters, clause
+// sharing, and domination must never change an outcome.
 func TestPortfolioDeterminismOverExampleCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("portfolio determinism sweep")
@@ -121,9 +121,9 @@ func TestPortfolioDeterminismOverExampleCorpus(t *testing.T) {
 	profiles := []hw.Profile{hw.Tofino(), hw.IPU()}
 	for _, spec := range exampleSpecs(t) {
 		for _, profile := range profiles {
-			base := compileAtWorkers(t, spec, profile, 1, false)
+			base := compileAtWorkers(t, spec, profile, 1)
 			for _, w := range []int{2, 8} {
-				got := compileAtWorkers(t, spec, profile, w, false)
+				got := compileAtWorkers(t, spec, profile, w)
 				checkIdentical(t, fmt.Sprintf("%s on %s at workers=%d", spec.Name, profile.Name, w), base, got)
 			}
 		}
@@ -131,9 +131,7 @@ func TestPortfolioDeterminismOverExampleCorpus(t *testing.T) {
 }
 
 // TestPortfolioDeterminismOverRandomSpecs is the seeded-random variant of
-// the corpus sweep, plus a -no-exchange arm: disabling the clause exchange
-// must not change any outcome either, since authoritative ladders never
-// import and refuter verdicts are schedule-invariant facts.
+// the corpus sweep.
 func TestPortfolioDeterminismOverRandomSpecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("portfolio determinism sweep")
@@ -143,11 +141,9 @@ func TestPortfolioDeterminismOverRandomSpecs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		spec := randomSpec(rng, 7000+i)
 		for _, profile := range profiles {
-			base := compileAtWorkers(t, spec, profile, 1, false)
-			got := compileAtWorkers(t, spec, profile, 4, false)
+			base := compileAtWorkers(t, spec, profile, 1)
+			got := compileAtWorkers(t, spec, profile, 4)
 			checkIdentical(t, fmt.Sprintf("%s on %s at workers=4", spec.Name, profile.Name), base, got)
-			noEx := compileAtWorkers(t, spec, profile, 4, true)
-			checkIdentical(t, fmt.Sprintf("%s on %s at workers=4 -no-exchange", spec.Name, profile.Name), base, noEx)
 		}
 	}
 }
@@ -156,7 +152,7 @@ func TestPortfolioDeterminismOverRandomSpecs(t *testing.T) {
 // -race job targets: wide-key benchmarks whose split variants give the
 // scheduler several skeletons and multi-rung ladders, compiled at
 // -workers 8 so ladders, refuter probes, the clause pools, and the shared
-// bound all run at once, checked against the sequential fingerprint.
+// bound all run at once, checked against the one-worker fingerprint.
 func TestPortfolioExchangeUnderContention(t *testing.T) {
 	// The scaled Tofino profile of the evaluation harness: its 12-bit key
 	// limit forces key splitting, which is what multiplies the skeletons.
@@ -173,12 +169,12 @@ func TestPortfolioExchangeUnderContention(t *testing.T) {
 		if !ok {
 			t.Fatalf("benchmark %q not in the suite", name)
 		}
-		base := compileAtWorkers(t, b.Spec, profile, 1, false)
+		base := compileAtWorkers(t, b.Spec, profile, 1)
 		if base.err != nil {
-			t.Fatalf("%s: sequential compile failed: %v", name, base.err)
+			t.Fatalf("%s: one-worker compile failed: %v", name, base.err)
 		}
 		for rep := 0; rep < 2; rep++ {
-			got := compileAtWorkers(t, b.Spec, profile, 8, false)
+			got := compileAtWorkers(t, b.Spec, profile, 8)
 			checkIdentical(t, fmt.Sprintf("%s rep %d", name, rep), base, got)
 			if got.err == nil && got.ladders < 1 {
 				t.Errorf("%s rep %d: portfolio ran no ladders", name, rep)

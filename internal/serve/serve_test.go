@@ -403,6 +403,32 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestPortfolioCountersAtOneWorker covers the compile a one-token pool
+// grants (under load, or on a one-CPU host): it runs at Workers=1, and its
+// skeleton ladders must still reach the portfolio counters.
+func TestPortfolioCountersAtOneWorker(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.Workers = 1 })
+	if code, resp, raw := postCompile(t, ts.URL+"/v1/compile", CompileRequest{Source: specB}); code != 200 || resp.Verdict != VerdictOK {
+		t.Fatalf("compile failed: %d %s", code, raw)
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	ladders := int64(-1)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "hawkd_portfolio_ladders_run_total "); ok {
+			fmt.Sscan(v, &ladders)
+		}
+	}
+	if ladders < 1 {
+		t.Errorf("hawkd_portfolio_ladders_run_total = %d after a one-worker compile, want >= 1", ladders)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	resp, err := http.Get(ts.URL + "/healthz")

@@ -15,18 +15,14 @@ import (
 // CDCL/bit-blasting counters and the per-iteration trace). hawkbench
 // -stats emits a JSON array of these, one element per compilation.
 type RunStats struct {
-	Program string `json:"program"`
-	Target  string `json:"target"`
-	Mode    string `json:"mode"` // "opt" or "orig"
-	// FreshEncode records whether incremental solving sessions were
-	// disabled for the run — the A/B comparator refuses to compare two
-	// files from the same mode.
-	FreshEncode bool    `json:"fresh_encode,omitempty"`
-	OK          bool    `json:"ok"`
-	Error       string  `json:"error,omitempty"`
-	Entries     int     `json:"entries"`
-	Stages      int     `json:"stages"`
-	Seconds     float64 `json:"seconds"`
+	Program string  `json:"program"`
+	Target  string  `json:"target"`
+	Mode    string  `json:"mode"` // "opt" or "orig"
+	OK      bool    `json:"ok"`
+	Error   string  `json:"error,omitempty"`
+	Entries int     `json:"entries"`
+	Stages  int     `json:"stages"`
+	Seconds float64 `json:"seconds"`
 
 	// Specification size before and after the SpecLint prune (also inside
 	// Stats.Lint, surfaced top-level so table tooling can chart the search

@@ -85,22 +85,14 @@ type Config struct {
 	// Comma-separated alternatives select the union ("Parse,Deep" matches
 	// both the Table 3 protocol suites and the deep-encapsulation corpus).
 	Filter string
-	// FreshEncode disables ParserHawk's incremental solving sessions:
-	// every entry-budget rung rebuilds its solver from scratch. The A/B
-	// smoke job runs the harness in both modes and compares.
-	FreshEncode bool
 	// Workers is passed through to core.Options.Workers: how many portfolio
 	// goroutines each compilation runs its skeleton ladders and refuter
-	// probes on. Zero means GOMAXPROCS; 1 reproduces the sequential
-	// compiler exactly. The harness itself runs benchmarks one at a time —
-	// parallelism lives inside the compile, where the portfolio scheduler
-	// guarantees identical verdicts, entry tables, and stage counts at
-	// every worker count (only timing fields vary).
+	// probes on. Zero means GOMAXPROCS; 1 runs each compilation on the
+	// harness's own goroutine. The harness itself runs benchmarks one at a
+	// time — parallelism lives inside the compile, where the portfolio
+	// scheduler guarantees identical verdicts, entry tables, and stage
+	// counts at every worker count (only timing fields vary).
 	Workers int
-	// NoExchange disables the portfolio's learnt-clause exchange (see
-	// core.Options.NoExchange); the A/B harness uses it to measure what
-	// clause sharing is worth.
-	NoExchange bool
 	// StatsSink, when non-nil, receives one RunStats record per ParserHawk
 	// compilation the harness performs (both opt and orig modes). hawkbench
 	// -stats uses it to collect the solver-level JSON report.
@@ -206,9 +198,7 @@ func runParserHawk(b benchdata.Benchmark, profile hw.Profile, cfg Config) Target
 	opts := core.DefaultOptions()
 	opts.Timeout = cfg.OptTimeout
 	opts.MaxIterations = b.MaxIterations
-	opts.FreshEncode = cfg.FreshEncode
 	opts.Workers = cfg.Workers
-	opts.NoExchange = cfg.NoExchange
 	before := cfg.Memo.Stats()
 	t0 := time.Now()
 	var res *core.Result
@@ -219,8 +209,7 @@ func runParserHawk(b benchdata.Benchmark, profile hw.Profile, cfg Config) Target
 		res, err = core.Compile(b.Spec, profile, opts)
 	}
 	out := TargetResult{OptSeconds: time.Since(t0).Seconds()}
-	rec := RunStats{Program: b.Name(), Target: profile.Name, Mode: "opt",
-		FreshEncode: cfg.FreshEncode, Seconds: out.OptSeconds}
+	rec := RunStats{Program: b.Name(), Target: profile.Name, Mode: "opt", Seconds: out.OptSeconds}
 	if cfg.Memo != nil {
 		rec.Memo = memoDelta(cfg.Memo.Stats().Sub(before))
 	}
@@ -247,12 +236,10 @@ func runParserHawk(b benchdata.Benchmark, profile hw.Profile, cfg Config) Target
 		naive := core.NaiveOptions()
 		naive.Timeout = cfg.OrigTimeout
 		naive.MaxIterations = b.MaxIterations
-		naive.FreshEncode = cfg.FreshEncode
 		t1 := time.Now()
 		nres, nerr := core.Compile(b.Spec, profile, naive)
 		out.OrigSeconds = time.Since(t1).Seconds()
-		nrec := RunStats{Program: b.Name(), Target: profile.Name, Mode: "orig",
-			FreshEncode: cfg.FreshEncode, Seconds: out.OrigSeconds}
+		nrec := RunStats{Program: b.Name(), Target: profile.Name, Mode: "orig", Seconds: out.OrigSeconds}
 		if nerr != nil {
 			nrec.Error = nerr.Error()
 		} else {
