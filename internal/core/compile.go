@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -107,8 +106,8 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 	// Loopy specs on pipelined devices are bounded by unrolling; the
 	// verifier must use the same iteration bound so "deeper stack than the
 	// device holds" counts as rejection on both sides.
-	if spec.HasLoop() && !profile.AllowLoops() && opts.MaxIterations == 0 {
-		opts.MaxIterations = 4
+	if spec.HasLoop() && !profile.AllowLoops() {
+		opts.MaxIterations = unrollDepth(opts.MaxIterations)
 	}
 
 	// The hardest proof-bearing query is kept for the certificate; the
@@ -246,10 +245,7 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 	if opts.EmitCertificate {
 		unrollUsed := 0
 		if effOrig != spec {
-			unrollUsed = unroll
-			if unrollUsed <= 0 {
-				unrollUsed = 4
-			}
+			unrollUsed = unrollDepth(unroll)
 		}
 		var proofDump *QueryDump
 		if hardestProof != nil {
@@ -303,8 +299,8 @@ func EffectiveSpec(spec *pir.Spec, profile hw.Profile, opts Options) (*pir.Spec,
 	if err != nil {
 		return nil, err
 	}
-	if pruned.HasLoop() && !profile.AllowLoops() && opts.MaxIterations == 0 {
-		opts.MaxIterations = 4
+	if pruned.HasLoop() && !profile.AllowLoops() {
+		opts.MaxIterations = unrollDepth(opts.MaxIterations)
 	}
 	_, eff, err := buildSkeletons(pruned, profile, opts, opts.MaxIterations)
 	if err != nil {
@@ -400,15 +396,13 @@ func ladderBounds(effSynth *pir.Spec, synthSk *skeleton, profile hw.Profile, opt
 func newSkeletonEngine(spec, effOrig, effSynth *pir.Spec, origSk, synthSk *skeleton, profile hw.Profile, opts Options) (*skeletonEngine, int, int) {
 	low, capN := ladderBounds(effSynth, synthSk, profile, opts)
 	eng := &skeletonEngine{
-		spec:       spec,
-		effOrig:    effOrig,
-		effSynth:   effSynth,
-		origSk:     origSk,
-		synthSk:    synthSk,
-		profile:    profile,
-		opts:       opts,
-		debug:      os.Getenv("PARSERHAWK_DEBUG") != "",
-		synthStart: time.Now(),
+		spec:     spec,
+		effOrig:  effOrig,
+		effSynth: effSynth,
+		origSk:   origSk,
+		synthSk:  synthSk,
+		profile:  profile,
+		opts:     opts,
 	}
 	return eng, low, capN
 }
@@ -419,8 +413,6 @@ type skeletonEngine struct {
 	origSk, synthSk         *skeleton
 	profile                 hw.Profile
 	opts                    Options
-	debug                   bool
-	synthStart              time.Time
 
 	// capUnsat is set when the ladder exhausted every rung and the cap rung
 	// itself climbed via a genuine solver UNSAT: the ensuing ErrNoSolution
@@ -431,7 +423,7 @@ type skeletonEngine struct {
 	capUnsat bool
 
 	// exchange, when non-nil, is this skeleton's portfolio clause pool. The
-	// authoritative ladder session attaches export-only: it publishes the
+	// authoritative ladder's solver attaches export-only: it publishes the
 	// glue clauses it learns (tagged with its example epoch) but never
 	// imports, so its search — and therefore the final model, the entry
 	// table, and the stage count — is bit-identical to a one-worker run,
@@ -496,29 +488,15 @@ func (e *exampleSet) pending(from int) []example {
 
 func (e *exampleSet) size() int { return len(e.ex) }
 
-// rungResult is the outcome of one budget rung: a Result on success, or
-// errBudgetTooSmall (climb), errCanceled (race lost or deadline), or a
-// terminal error. stats always carries the rung's own solver effort so the
-// scheduler can account for losers too.
-type rungResult struct {
-	res   *Result
-	err   error
-	stats Stats
-	// unsat marks an errBudgetTooSmall produced by a genuine solver UNSAT
-	// (no table at this budget exists), as opposed to one produced by a
-	// device-validation failure of a found model — only the former is a
-	// seed-independent fact the tier-2 memo may record.
-	unsat bool
-}
-
 // runLadder climbs one skeleton's iterative-deepening entry-budget ladder
-// over one persistent solving session. The skeleton's symbolic entry
-// table is encoded once at the ladder cap; rung k solves under the
-// assumption that at most k entries are enabled, so an UNSAT rung's
-// learned clauses, the solver's variable activity, and every encoded
-// counterexample carry directly into rung k+1 instead of being rebuilt.
-// The returned SolverStats totals every rung attempted, and is reported
-// even when the skeleton fails, so Compile can account for all the work.
+// over one persistent solver. The skeleton's symbolic entry table is
+// encoded once at the ladder cap; rung k solves under the assumption that
+// at most k entries are enabled, so an UNSAT rung's learned clauses, the
+// solver's variable activity, and every encoded counterexample carry
+// directly into rung k+1 instead of being rebuilt. The ladder's solver
+// effort is therefore that one solver's final snapshot (plus the total of
+// an Opt2 fallback ladder, when one ran); it is returned even when the
+// skeleton fails, so Compile can account for all the work.
 func (eng *skeletonEngine) runLadder(ctx context.Context, low, capN int) (*Result, SolverStats, error) {
 	env, err := eng.newEnv()
 	if err != nil {
@@ -526,24 +504,32 @@ func (eng *skeletonEngine) runLadder(ctx context.Context, low, capN int) (*Resul
 	}
 	sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, eng.opts)
 	if eng.exchange != nil {
-		sy.sess.AttachExchange(eng.exchange, ladderProducerID, -1)
+		sy.attachExchange(eng.exchange, ladderProducerID, -1)
 	}
-	var collected []*rungResult
+	var st Stats
 	for budget := low; budget <= capN; budget++ {
-		r := eng.runBudget(ctx, budget, env, sy)
-		collected = append(collected, r)
-		if r.err == nil {
-			return eng.assemble(r, collected)
-		}
-		if errors.Is(r.err, errBudgetTooSmall) {
+		st.BudgetsTried++
+		st.Iterations = nil // the trace kept is the winning rung's
+		res, err := eng.runBudget(ctx, budget, env, sy, &st)
+		if errors.Is(err, errBudgetTooSmall) {
 			continue
 		}
-		return nil, sumSolver(collected), r.err
+		st.Solver.Add(solverSnapshot(sy.s))
+		if err != nil {
+			return nil, st.Solver, err
+		}
+		res.Stats = st
+		return res, st.Solver, nil
 	}
-	if n := len(collected); n > 0 && collected[n-1].unsat {
+	// Every rung climbed. When the cap rung ended in a genuine solver UNSAT
+	// (no table at the cap exists) rather than in a device-validation
+	// failure of a found model, the ErrNoSolution below is a
+	// seed-independent fact the tier-2 memo may record.
+	if n := len(st.Iterations); n > 0 && st.Iterations[n-1].Status == sat.Unsat.String() {
 		eng.capUnsat = true
 	}
-	return nil, sumSolver(collected), ErrNoSolution
+	st.Solver.Add(solverSnapshot(sy.s))
+	return nil, st.Solver, ErrNoSolution
 }
 
 // refuteStatus runs one cap-budget infeasibility probe against this skeleton: a
@@ -576,7 +562,6 @@ func (eng *skeletonEngine) refuteStatus(ctx context.Context, capN int, seed int6
 		}
 		sy.fed++
 	}
-	sy.sess.SetEpoch(sy.fed)
 	sy.s.SAT.Diversify(seed)
 	if ex != nil {
 		importEpoch := sy.fed
@@ -588,7 +573,7 @@ func (eng *skeletonEngine) refuteStatus(ctx context.Context, capN int, seed int6
 			// pool, and its refutation stays self-contained.
 			importEpoch = -1
 		}
-		sy.sess.AttachExchange(ex, producerID, importEpoch)
+		sy.attachExchange(ex, producerID, importEpoch)
 	}
 	stop := func() bool {
 		select {
@@ -604,42 +589,12 @@ func (eng *skeletonEngine) refuteStatus(ctx context.Context, capN int, seed int6
 		// a higher standard than its own trusted verdict: the probe must
 		// produce a strict DRAT refutation of the exact query it solved, or
 		// the kill is demoted to Unknown and the ladder keeps running.
-		dimacs, err := sy.sess.DumpLastQuery()
-		if err != nil || cert.CheckDRAT(dimacs, sy.sess.DumpLastProof(), cert.Strict) != nil {
+		dimacs, err := sy.lastQuery()
+		if err != nil || cert.CheckDRAT(dimacs, sy.lastProof(), cert.Strict) != nil {
 			return sat.Unknown, solverSnapshot(sy.s)
 		}
 	}
 	return st, solverSnapshot(sy.s)
-}
-
-// assemble merges the winning rung's result with the effort of every other
-// rung attempted on this skeleton: synthesis/verify times and CEGIS
-// iteration counts are summed (they measure work done), and SolverStats
-// totals every rung's solver.
-func (eng *skeletonEngine) assemble(w *rungResult, collected []*rungResult) (*Result, SolverStats, error) {
-	st := w.res.Stats
-	var total SolverStats
-	for _, r := range collected {
-		total.Add(r.stats.Solver)
-		if r != w {
-			st.SynthesisTime += r.stats.SynthesisTime
-			st.VerifyTime += r.stats.VerifyTime
-			st.CEGISIterations += r.stats.CEGISIterations
-		}
-	}
-	st.Solver = total
-	st.BudgetsTried = len(collected)
-	st.Elapsed = time.Since(eng.synthStart)
-	w.res.Stats = st
-	return w.res, total, nil
-}
-
-func sumSolver(collected []*rungResult) SolverStats {
-	var total SolverStats
-	for _, r := range collected {
-		total.Add(r.stats.Solver)
-	}
-	return total
 }
 
 // solverSnapshot converts the bit-blasting layer's counters into the
@@ -667,20 +622,15 @@ func solverSnapshot(s *bv.Solver) SolverStats {
 	}
 }
 
-// runBudget runs the CEGIS loop at one entry budget in env over the given
-// synthesizer: feed the pool's examples, solve, verify, and either return
-// a validated Result, errBudgetTooSmall to climb the ladder, or
+// runBudget runs the CEGIS loop at one entry budget in env over the
+// ladder's synthesizer: feed the pool's examples, solve, verify, and either
+// return a validated Result, errBudgetTooSmall to climb the ladder, or
 // errCanceled when ctx fired mid-search. An interrupted solve or
 // verification is never mistaken for UNSAT / "no counterexample": both
 // carry explicit interrupt signals (sat.ErrCanceled, the verifier's
-// interrupted flag).
-//
-// The synthesizer is shared across rungs (the ladder passes one
-// persistent session), so the rung's SolverStats are computed as the delta
-// from the counters it entered with — summing rung stats never
-// double-counts session effort.
-func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budgetEnv, sy *synthesizer) *rungResult {
-	out := &rungResult{}
+// interrupted flag). Every iteration adds its times, its CEGIS round trip
+// and its trace entry to st, the ladder's running Stats.
+func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budgetEnv, sy *synthesizer, st *Stats) (*Result, error) {
 	stop := func() bool {
 		select {
 		case <-ctx.Done():
@@ -690,29 +640,26 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 		}
 	}
 
-	// Report this rung's solver effort as the counter movement past what
-	// earlier rungs already claimed (sy.reported) — the first rung thereby
-	// absorbs construction-time encoding, and summing rung deltas
-	// reconstructs the session's totals exactly.
-	claim := func() SolverStats {
-		cur := solverSnapshot(sy.s)
-		delta := cur.Sub(sy.reported)
-		sy.reported = cur
-		return delta
-	}
 	// Query capture (Options.QuerySink): remember the rung's hardest solve,
 	// serialized at solve time so the dump is the exact instance the solver
 	// saw, and report it once when the rung finishes.
 	var dump *QueryDump
+	if eng.opts.QuerySink != nil {
+		defer func() {
+			if dump != nil {
+				eng.opts.QuerySink(*dump)
+			}
+		}()
+	}
 	capture := func(status sat.Status) {
 		if eng.opts.QuerySink == nil {
 			return
 		}
-		delta := sy.sess.LastCall().Delta
-		if dump != nil && delta.Conflicts <= dump.Conflicts {
+		conflicts := sy.s.SAT.LastSolveDelta().Conflicts
+		if dump != nil && conflicts <= dump.Conflicts {
 			return
 		}
-		data, err := sy.sess.DumpLastQuery()
+		data, err := sy.lastQuery()
 		if err != nil {
 			return
 		}
@@ -720,7 +667,7 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 		// SAT solves carry no proof (the model is its own witness).
 		var proof []byte
 		if status == sat.Unsat {
-			proof = sy.sess.DumpLastProof()
+			proof = sy.lastProof()
 		}
 		dump = &QueryDump{
 			Spec:      eng.effSynth.Name,
@@ -728,85 +675,62 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			Budget:    budget,
 			Examples:  sy.fed,
 			Status:    status.String(),
-			Conflicts: delta.Conflicts,
+			Conflicts: conflicts,
 			DIMACS:    data,
 			Proof:     proof,
 		}
 	}
-	fin := func(err error) *rungResult {
-		out.stats.Solver = claim()
-		out.err = err
-		if dump != nil {
-			eng.opts.QuerySink(*dump)
-		}
-		return out
-	}
-	if stop() {
-		return fin(errCanceled)
-	}
-	if eng.debug {
-		fmt.Fprintf(os.Stderr, "[%s] budget=%d examples=%d fed=%d elapsed=%.1fs\n",
-			eng.synthSk.Name, budget, env.examples.size(), sy.fed, time.Since(eng.synthStart).Seconds())
-	}
 
 	for {
 		if stop() {
-			return fin(errCanceled)
+			return nil, errCanceled
 		}
 		tb := time.Now()
 		for _, ex := range env.examples.pending(sy.fed) {
 			if stop() {
-				return fin(errCanceled)
+				return nil, errCanceled
 			}
 			if err := sy.addTestCase(ex.in, ex.out); err != nil {
-				return fin(err)
+				return nil, err
 			}
 			sy.fed++
 		}
-		// Tag clauses learned from here on with the example count they were
-		// derived under; the portfolio exchange filters imports by it.
-		sy.sess.SetEpoch(sy.fed)
-		if eng.debug {
-			fmt.Fprintf(os.Stderr, "  [b=%d] build=%.2fs vars=%d\n", budget, time.Since(tb).Seconds(), sy.s.NumVars())
-		}
+		encodeTime := time.Since(tb)
 		t0 := time.Now()
 		status := sy.solveAt(budget, stop)
 		solveTime := time.Since(t0)
-		out.stats.SynthesisTime += solveTime
+		st.SynthesisTime += solveTime
 		capture(status)
 		iter := IterationStats{
-			Budget:    budget,
-			Examples:  sy.fed,
-			Status:    status.String(),
-			SolveTime: solveTime,
-			Solver:    solverSnapshot(sy.s),
-		}
-		if eng.debug {
-			fmt.Fprintf(os.Stderr, "  [b=%d] solve=%.2fs status=%v\n", budget, solveTime.Seconds(), status)
+			Budget:     budget,
+			Examples:   sy.fed,
+			Status:     status.String(),
+			EncodeTime: encodeTime,
+			SolveTime:  solveTime,
+			Solver:     solverSnapshot(sy.s),
 		}
 		if status == sat.Unsat {
-			out.stats.Iterations = append(out.stats.Iterations, iter)
-			out.unsat = true
-			return fin(errBudgetTooSmall) // budget too small; climb the ladder
+			st.Iterations = append(st.Iterations, iter)
+			return nil, errBudgetTooSmall // budget too small; climb the ladder
 		}
 		if status == sat.Unknown {
 			// The only Unknown source here is the cancellation poll: an
 			// interrupted solve reports interruption, never UNSAT.
 			iter.Status = "canceled"
-			out.stats.Iterations = append(out.stats.Iterations, iter)
-			return fin(errCanceled)
+			st.Iterations = append(st.Iterations, iter)
+			return nil, errCanceled
 		}
-		out.stats.CEGISIterations++
+		st.CEGISIterations++
 
 		// Verification phase on the synthesis-side spec.
 		cand := sy.extract(eng.effSynth, eng.synthSk)
 		t1 := time.Now()
 		cex, found, _, interrupted := env.ver.counterexampleStop(cand, stop)
 		iter.VerifyTime = time.Since(t1)
-		out.stats.VerifyTime += iter.VerifyTime
-		out.stats.Iterations = append(out.stats.Iterations, iter)
+		st.VerifyTime += iter.VerifyTime
+		st.Iterations = append(st.Iterations, iter)
 		if interrupted {
-			return fin(errCanceled)
+			return nil, errCanceled
 		}
 		if found {
 			env.examples.add(cex)
@@ -818,7 +742,7 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 		final := sy.extract(eng.spec, eng.origSk)
 		cex2, found2, _, interrupted2 := env.origVer.counterexampleStop(final, stop)
 		if interrupted2 {
-			return fin(errCanceled)
+			return nil, errCanceled
 		}
 		if found2 {
 			if eng.effSynth == eng.effOrig {
@@ -833,31 +757,27 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			o2 := eng.opts
 			o2.Opt2BitWidthMin = false
 			fallback, low, capN := newSkeletonEngine(eng.spec, eng.effOrig, eng.effOrig, eng.origSk, eng.origSk, eng.profile, o2)
-			res, subSolver, suberr := fallback.runLadder(ctx, low, capN)
-			own := claim()
-			if dump != nil {
-				eng.opts.QuerySink(*dump)
-				dump = nil
+			res, sub, err := fallback.runLadder(ctx, low, capN)
+			if err != nil {
+				st.Solver.Add(sub)
+				return nil, err
 			}
-			if suberr != nil {
-				own.Add(subSolver)
-				out.stats.Solver = own
-				out.err = suberr
-				return out
-			}
-			// Adopt the fallback's stats wholesale and fold this rung's own
-			// solver effort in, so the scheduler counts it exactly once.
-			res.Stats.Solver.Add(own)
-			out.res = res
-			out.stats = res.Stats
-			return out
+			// The fallback's program wins: adopt its figures (its solver
+			// total included) and add this ladder's work so far.
+			fb := res.Stats
+			fb.SynthesisTime += st.SynthesisTime
+			fb.VerifyTime += st.VerifyTime
+			fb.CEGISIterations += st.CEGISIterations
+			fb.BudgetsTried += st.BudgetsTried
+			*st = fb
+			return res, nil
 		}
 		unoptimized := final
 		final, err := postOptimize(final, eng.profile)
 		if err != nil {
 			// Post-optimization found a hard resource violation (e.g.
 			// too many stages); a larger budget will not help.
-			return fin(err)
+			return nil, err
 		}
 		// Folding can change iteration counts; at the unrolling bound K
 		// that can shift an outcome across the budget boundary. Keep the
@@ -865,30 +785,24 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 		// contract.
 		_, foldBroke, _, foldInterrupted := env.origVer.counterexampleStop(final, stop)
 		if foldInterrupted {
-			return fin(errCanceled)
+			return nil, errCanceled
 		}
 		if foldBroke {
 			final = unoptimized
 			if eng.profile.Arch != hw.SingleTable {
 				var serr error
 				if final, serr = layoutPipeline(final, eng.profile); serr != nil {
-					return fin(errBudgetTooSmall)
+					return nil, errBudgetTooSmall
 				}
 			}
 		}
 		if err := eng.profile.Validate(final); err != nil {
-			return fin(errBudgetTooSmall) // exceeds device limits at this shape; try next budget
+			return nil, errBudgetTooSmall // exceeds device limits at this shape; try next budget
 		}
-		out.stats.EntryBudget = budget
-		out.stats.SolverVars = sy.s.NumVars()
-		out.stats.TestCases = env.examples.size()
-		out.stats.Solver = claim()
-		out.stats.Elapsed = time.Since(eng.synthStart)
-		out.res = &Result{Program: final, Resources: final.Resources(), Stats: out.stats}
-		if dump != nil {
-			eng.opts.QuerySink(*dump)
-		}
-		return out
+		st.EntryBudget = budget
+		st.SolverVars = sy.s.NumVars()
+		st.TestCases = env.examples.size()
+		return &Result{Program: final, Resources: final.Resources()}, nil
 	}
 }
 
@@ -1021,6 +935,19 @@ func sameStructure(a, b []skeleton) bool {
 		}
 	}
 	return true
+}
+
+// DefaultUnroll is the unrolling bound K a compile uses for a loopy spec
+// on a loop-free target when Options.MaxIterations is not positive.
+const DefaultUnroll = 4
+
+// unrollDepth resolves an Options.MaxIterations value to the unrolling
+// bound a compile applies to loopy specs on loop-free targets.
+func unrollDepth(maxIter int) int {
+	if maxIter > 0 {
+		return maxIter
+	}
+	return DefaultUnroll
 }
 
 // Unroll rewrites a loopy specification into the bounded loop-free form

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"testing"
 	"time"
 
 	"parserhawk/internal/bitstream"
 	"parserhawk/internal/hw"
 	"parserhawk/internal/pir"
+	"parserhawk/internal/sat"
 )
 
 // checkEquivalent exhaustively (up to maxBits) or randomly compares the
@@ -260,5 +263,62 @@ func TestCompileTimeout(t *testing.T) {
 	_, err := Compile(spec, hw.Tofino(), opts)
 	if err == nil {
 		t.Skip("finished within 1ms; machine too fast to observe timeout")
+	}
+}
+
+// TestQuerySinkDumpsReplay checks the query capture behind parserhawk
+// -dimacs: every DIMACS dump a compile hands to Options.QuerySink must be
+// the exact instance its solve saw, budget assumption included as a unit
+// clause, so a fresh solver reading it reaches the same verdict. The naive
+// ladder starts at one entry, so the Figure 3 compile dumps UNSAT rungs as
+// well as the SAT rung that wins.
+func TestQuerySinkDumpsReplay(t *testing.T) {
+	var dumps []QueryDump
+	opts := NaiveOptions()
+	opts.Timeout = 60 * time.Second
+	opts.Workers = 1 // the sink runs on the calling goroutine
+	opts.QuerySink = func(q QueryDump) { dumps = append(dumps, q) }
+	if _, err := Compile(fig3Spec(t), hw.Tofino(), opts); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for i, q := range dumps {
+		replay, err := sat.ReadDIMACS(bytes.NewReader(q.DIMACS))
+		if err != nil {
+			t.Fatalf("dump %d (budget %d): %v", i, q.Budget, err)
+		}
+		if got := replay.Solve().String(); got != q.Status {
+			t.Errorf("dump %d (budget %d, %d examples): replay is %s, the compile's solve was %s",
+				i, q.Budget, q.Examples, got, q.Status)
+		}
+		seen[q.Status]++
+	}
+	if seen["unsat"] == 0 || seen["sat"] == 0 {
+		t.Errorf("dump statuses %v over %d dumps, want at least one unsat and one sat", seen, len(dumps))
+	}
+}
+
+// TestRefuterKillCarriesStrictProof drives a refuter probe at a cap no
+// table can meet. The probe encodes only the two seed examples: all-zeros
+// (Start accepts) and, at the default seed, k=15 (Start goes to N1, which
+// accepts), so any table needs three entries and a two-entry cap is UNSAT.
+// Under LogProofs a probe's UNSAT stands only if its own DRAT log strictly
+// refutes the query it dumped, and is demoted to Unknown otherwise, so
+// this pins the dump and proof path a kill reads.
+func TestRefuterKillCarriesStrictProof(t *testing.T) {
+	spec := fig3Spec(t)
+	opts := DefaultOptions()
+	opts.LogProofs = true
+	sks, eff, err := buildSkeletons(spec, hw.Tofino(), opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, _, _ := newSkeletonEngine(spec, eff, eff, &sks[0], &sks[0], hw.Tofino(), opts)
+	st, effort := eng.refuteStatus(context.Background(), 2, 1, nil, 1)
+	if st != sat.Unsat {
+		t.Fatalf("refuter at cap 2 returned %v, want unsat with a strictly checked proof", st)
+	}
+	if effort.Conflicts == 0 {
+		t.Errorf("the cap-2 refutation took no conflicts, so its proof has no lemma to check")
 	}
 }

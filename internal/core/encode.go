@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -9,12 +10,11 @@ import (
 	"parserhawk/internal/hw"
 	"parserhawk/internal/pir"
 	"parserhawk/internal/sat"
-	"parserhawk/internal/solve"
 	"parserhawk/internal/tcam"
 )
 
 // synthesizer is one synthesis subproblem: a skeleton's symbolic entry
-// table encoded once over a persistent solving session. Test cases
+// table encoded once over one persistent solver. Test cases
 // (input/output examples) are added incrementally by the CEGIS loop; each
 // one appends the unrolled FSM-simulation circuit of Figure 9 evaluated on
 // that concrete input, with the TCAM entry contents left symbolic.
@@ -29,18 +29,21 @@ type synthesizer struct {
 	profile hw.Profile
 	opts    Options
 
-	sess    *solve.Session
 	s       *bv.Solver
 	ladder  []bv.Lit     // count thresholds over all enabled lits
 	fed     int          // CEGIS examples already encoded
 	entries [][]entryVar // [state][entry]
 	targets int          // number of transition targets: len(states) + accept + reject
 
-	// reported is the cumulative counter snapshot already attributed to a
-	// finished rung. Each rung reports the movement past this mark and
-	// advances it, so construction-time encoding lands in the first rung
-	// and a shared session's effort is counted exactly once across rungs.
-	reported SolverStats
+	// The most recent solve's assumptions and verdict, for lastQuery and
+	// lastProof.
+	lastAssumps []bv.Lit
+	lastStatus  sat.Status
+
+	// ex, when non-nil, is the portfolio clause pool every solve publishes
+	// its learned glue clauses to, as producer exID (see attachExchange).
+	ex   *sat.Exchange
+	exID int
 
 	extractedFields []string // fields some skeleton state extracts, sorted
 }
@@ -66,20 +69,21 @@ const (
 // newSynthesizer builds the symbolic entry table for a skeleton, with a
 // counting ladder over its enable bits for solveAt's budget assumptions.
 func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Options) *synthesizer {
-	sess := solve.New()
+	s := bv.New()
 	if opts.QuerySink != nil || opts.LogProofs {
-		sess = solve.NewRecording()
+		// Query dumps and DRAT proofs need the original clauses recorded.
+		s = bv.NewRecording()
 	}
 	if opts.LogProofs {
-		sess.LogProofs()
+		// Before anything is encoded, so the log covers every learnt clause.
+		s.SAT.StartProof()
 	}
 	sy := &synthesizer{
 		spec:    spec,
 		sk:      sk,
 		profile: profile,
 		opts:    opts,
-		sess:    sess,
-		s:       sess.Solver(),
+		s:       s,
 		targets: len(sk.States) + 2,
 	}
 	seen := map[string]bool{}
@@ -168,15 +172,59 @@ func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Optio
 	return sy
 }
 
-// solveAt runs the SAT search for one entry-budget rung, applying the
-// budget as a scoped assumption over the counting ladder; cancel aborts
-// long searches.
+// solveAt runs the SAT search for one entry-budget rung under the single
+// assumption ladder[budget].Not() — no assumption at or beyond the cap;
+// cancel aborts long searches. The glue clauses the solve learned are
+// published to the attached pool, tagged with the example count they were
+// derived under: the pool's consumers only import clauses whose epoch
+// their own formula covers.
 func (sy *synthesizer) solveAt(budget int, cancel func() bool) sat.Status {
+	sy.s.SAT.Cancel = cancel
+	sy.lastAssumps = nil
 	if budget < len(sy.ladder) {
-		scope := sy.sess.Assume(sy.ladder[budget].Not())
-		defer scope.Drop()
+		sy.lastAssumps = []bv.Lit{sy.ladder[budget].Not()}
 	}
-	return sy.sess.Solve(cancel)
+	sy.lastStatus = sy.s.Solve(sy.lastAssumps...)
+	if sy.ex != nil {
+		sy.ex.Publish(sy.exID, sy.fed, sy.s.SAT.DrainGlue())
+	}
+	return sy.lastStatus
+}
+
+// attachExchange joins the synthesizer to a portfolio clause pool as
+// producer id: every solve afterwards publishes the glue clauses it
+// learns. When importMaxEpoch ≥ 0 it also consumes from the pool, clauses
+// with epoch ≤ importMaxEpoch being injected at the solver's restart
+// boundaries. Authoritative ladders, whose models must stay bit-identical
+// to a one-worker run, attach export-only (importMaxEpoch < 0):
+// publishing copies clauses out but never perturbs their own search.
+func (sy *synthesizer) attachExchange(x *sat.Exchange, id, importMaxEpoch int) {
+	sy.ex, sy.exID = x, id
+	sy.s.SAT.CollectGlue = true
+	if importMaxEpoch >= 0 {
+		sy.s.SAT.ImportHook = func() [][]sat.Lit {
+			return x.Collect(id, importMaxEpoch, sy.s.SAT.NumVars())
+		}
+	}
+}
+
+// lastQuery exports the most recent solve's instance as DIMACS CNF: every
+// clause encoded so far plus that solve's assumptions as unit clauses, so
+// an external solver can replay the exact query. Needs a recording solver
+// (Options.QuerySink or LogProofs).
+func (sy *synthesizer) lastQuery() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := sy.s.SAT.WriteDIMACSUnder(&buf, sy.lastAssumps...); err != nil {
+		return nil, fmt.Errorf("core: dumping query: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// lastProof exports the DRAT log accumulated so far (nil without
+// Options.LogProofs). After an UNSAT solve the terminating empty clause is
+// appended, making it a complete refutation of lastQuery's CNF.
+func (sy *synthesizer) lastProof() []byte {
+	return sy.s.SAT.ProofBytes(sy.lastStatus == sat.Unsat)
 }
 
 // conf is one concrete (state, cursor) configuration during simulation of

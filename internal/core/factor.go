@@ -17,9 +17,9 @@ import (
 //
 // The transformation renames the factored trailing fields to a single
 // shared field, so it is a cross-packet-definition optimization: callers
-// opt in via Options.FactorCommonSuffixes or call this directly, and the
-// output dictionary uses the shared field's name for the common part.
-// ExplainFactoring reports what was merged.
+// opt in by calling this before compiling, and the output dictionary uses
+// the shared field's name for the common part. ExplainFactoring reports
+// what was merged.
 func FactorCommonSuffix(spec *pir.Spec) (*pir.Spec, []Factoring, error) {
 	type sig struct {
 		keyShape string // trailing key structure relative to state end

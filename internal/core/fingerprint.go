@@ -33,9 +33,8 @@ import "fmt"
 // (equally cheap) entry tables.
 func (o Options) Fingerprint() string {
 	return fmt.Sprintf(
-		"opts1=%t,2=%t,3=%t,4=%t,5=%t,6=%t,7=%t;unroll=%d;budget=%d;exbits=%d;samples=%d;skiplint=%t;seed=%d",
-		o.Opt1SpecGuidedKeys, o.Opt2BitWidthMin, o.Opt3Preallocation,
-		o.Opt4ConstantSynthesis, o.Opt5KeyGrouping, o.Opt6FreezeVarbits,
+		"opts2=%t,4=%t,5=%t,7=%t;unroll=%d;budget=%d;exbits=%d;samples=%d;skiplint=%t;seed=%d",
+		o.Opt2BitWidthMin, o.Opt4ConstantSynthesis, o.Opt5KeyGrouping,
 		o.Opt7Parallelism,
 		o.MaxIterations, o.MaxBudget,
 		o.ExhaustiveVerifyBits, o.VerifySamples,

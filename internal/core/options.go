@@ -6,26 +6,25 @@
 // solver (internal/bv) to concretize the symbolic TCAM entries of a parser
 // skeleton; the back end post-optimizes and emits a tcam.Program.
 //
-// Each optimization of §6 is independently toggleable so the evaluation
-// harness can reproduce the paper's ablations (Tables 3 and 5).
+// Options toggles the §6 optimizations that change the search — Opt2, Opt4,
+// Opt5 and Opt7 — so the evaluation harness can reproduce the paper's
+// ablations (Tables 3 and 5). The other three are how the encoding works
+// in both modes: transition keys are the spec's own keys realized at
+// cursor-relative offsets (realizeKey, §6.1), extraction is preallocated
+// per skeleton state (§6.3), and varbit widths are resolved per example
+// (stateWidth, §6.6). The paper's Orig mode therefore differs from OPT
+// here in Opt2/4/5/7 and the SpecLint pre-pass only.
 package core
 
 import "time"
 
 // Options configures a compilation. The zero value enables nothing; use
-// DefaultOptions (all optimizations on, as in the paper's OPT rows) or
+// DefaultOptions (all toggles on, as in the paper's OPT rows) or
 // NaiveOptions (all off, the Orig rows).
 type Options struct {
-	// Opt1 restricts implementation transition-key construction to the bits
-	// the specification itself keys on (§6.1).
-	Opt1SpecGuidedKeys bool
 	// Opt2 scales fields irrelevant to control flow down to 1 bit during
 	// synthesis and restores them afterwards (§6.2).
 	Opt2BitWidthMin bool
-	// Opt3 preallocates field extraction to parser states instead of
-	// letting the solver choose (§6.3). Only applies to symmetric
-	// (single-TCAM-table) architectures.
-	Opt3Preallocation bool
 	// Opt4 restricts symbolic match constants to values present in the
 	// specification, their adjacent-state concatenations, and their
 	// hardware-width subranges (§6.4).
@@ -33,9 +32,6 @@ type Options struct {
 	// Opt5 groups contiguous bits of one field into indivisible key units
 	// (§6.5).
 	Opt5KeyGrouping bool
-	// Opt6 treats varbit fields as fixed-size during synthesis and converts
-	// them back afterwards (§6.6).
-	Opt6FreezeVarbits bool
 	// Opt7 runs the alternative structural subproblems (skeletons) in
 	// parallel on Workers goroutines (§6.7). Off, the same portfolio runs
 	// on the caller's goroutine alone.
@@ -91,8 +87,8 @@ type Options struct {
 	// either way, so the flag is excluded from Fingerprint.
 	EmitCertificate bool
 
-	// LogProofs enables DRAT proof logging in every solver session this
-	// compile creates. Each budget rung's hardest UNSAT query then carries
+	// LogProofs enables DRAT proof logging in every solver this compile
+	// creates. Each budget rung's hardest UNSAT query then carries
 	// a replayable refutation (QueryDump.Proof), and portfolio refuter
 	// kills are honored only after their proof passes the forward DRAT
 	// check — certified rather than trusted. Proof-logging probes attach
@@ -118,15 +114,12 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's OPT configuration: every optimization
-// enabled.
+// toggle enabled.
 func DefaultOptions() Options {
 	return Options{
-		Opt1SpecGuidedKeys:    true,
 		Opt2BitWidthMin:       true,
-		Opt3Preallocation:     true,
 		Opt4ConstantSynthesis: true,
 		Opt5KeyGrouping:       true,
-		Opt6FreezeVarbits:     true,
 		Opt7Parallelism:       true,
 		ExhaustiveVerifyBits:  16,
 		VerifySamples:         2000,
@@ -135,8 +128,9 @@ func DefaultOptions() Options {
 }
 
 // NaiveOptions returns the paper's Orig configuration: the plain synthesis
-// encoding with every optimization disabled. Expect timeouts on all but the
-// smallest inputs — that observation is the paper's Table 3.
+// encoding with every optimization toggle and the SpecLint pre-pass
+// disabled. Expect timeouts on all but the smallest inputs — that
+// observation is the paper's Table 3.
 func NaiveOptions() Options {
 	return Options{
 		ExhaustiveVerifyBits: 16,
@@ -194,8 +188,8 @@ type Stats struct {
 	// zero.
 	Portfolio PortfolioStats `json:"portfolio"`
 	// Iterations is the winning budget rung's per-CEGIS-iteration trace.
-	// Solver snapshots within it are cumulative for the skeleton's
-	// persistent session (which may enter the rung with non-zero counters
+	// Solver snapshots within it are cumulative for the skeleton ladder's
+	// persistent solver (which may enter the rung with non-zero counters
 	// from earlier rungs), so they grow monotonically across the trace.
 	Iterations []IterationStats `json:"iterations,omitempty"`
 }
@@ -218,7 +212,7 @@ type SolverStats struct {
 
 	// RetainedClauses sums, over every Solve call, the learned clauses
 	// alive when the call started — CDCL work reused from earlier calls in
-	// the same session rather than re-derived: what the persistent clause
+	// the same solver rather than re-derived: what the persistent clause
 	// database was worth.
 	RetainedClauses int64 `json:"retained_clauses"`
 	// ConsHits counts gate constructions the bit-blaster's hash-consing
@@ -262,32 +256,6 @@ func (s *SolverStats) Add(o SolverStats) {
 	s.ExportedClauses += o.ExportedClauses
 	s.ImportedClauses += o.ImportedClauses
 	s.ImportHits += o.ImportHits
-}
-
-// Sub returns the counter movement from an earlier snapshot o to s. Every
-// field is monotone over one solver's lifetime, so on snapshots of the
-// same session the result is the effort spent in between — how per-rung
-// deltas are carved out of a shared session without double counting.
-func (s SolverStats) Sub(o SolverStats) SolverStats {
-	return SolverStats{
-		Solves:          s.Solves - o.Solves,
-		Decisions:       s.Decisions - o.Decisions,
-		Propagations:    s.Propagations - o.Propagations,
-		Conflicts:       s.Conflicts - o.Conflicts,
-		LearnedClauses:  s.LearnedClauses - o.LearnedClauses,
-		LearnedLiterals: s.LearnedLiterals - o.LearnedLiterals,
-		Restarts:        s.Restarts - o.Restarts,
-		Clauses:         s.Clauses - o.Clauses,
-		Gates:           s.Gates - o.Gates,
-		Vars:            s.Vars - o.Vars,
-		RetainedClauses: s.RetainedClauses - o.RetainedClauses,
-		ConsHits:        s.ConsHits - o.ConsHits,
-		BinPropagations: s.BinPropagations - o.BinPropagations,
-		GlueLearnts:     s.GlueLearnts - o.GlueLearnts,
-		ExportedClauses: s.ExportedClauses - o.ExportedClauses,
-		ImportedClauses: s.ImportedClauses - o.ImportedClauses,
-		ImportHits:      s.ImportHits - o.ImportHits,
-	}
 }
 
 // PortfolioStats reports what the parallel portfolio scheduler did during
@@ -351,14 +319,15 @@ type QueryDump struct {
 }
 
 // IterationStats records one CEGIS iteration of one budget rung: the
-// wall time split between the synthesis solve and the verification search,
-// and a cumulative snapshot of the rung's solver counters taken right
-// after the iteration's solve returned.
+// wall time split between encoding the new examples, the synthesis solve
+// and the verification search, and a cumulative snapshot of the ladder's
+// solver counters taken right after the iteration's solve returned.
 type IterationStats struct {
 	Budget     int           `json:"budget"`
-	Examples   int           `json:"examples"` // CEGIS examples fed before this solve
-	Status     string        `json:"status"`   // sat, unsat, or canceled
+	Examples   int           `json:"examples"`    // CEGIS examples fed before this solve
+	Status     string        `json:"status"`      // sat, unsat, or canceled
+	EncodeTime time.Duration `json:"encode_time"` // encoding the examples fed since the last solve
 	SolveTime  time.Duration `json:"solve_time"`
 	VerifyTime time.Duration `json:"verify_time"`
-	Solver     SolverStats   `json:"solver"` // cumulative within this runner
+	Solver     SolverStats   `json:"solver"` // cumulative over the ladder's solver
 }

@@ -12,16 +12,17 @@ import (
 
 // The portfolio scheduler is how every compile runs its skeletons:
 // candidate skeletons form a work queue drained by the resolved worker
-// count, each ladder owning its own solve.Session. The calling goroutine
-// is worker 0, so a one-worker compile never leaves it. With more than one
-// worker, idle workers run refuter probes (skeletonEngine.refuteStatus)
-// against still-running ladders, sharing glue clauses with them through a
-// per-skeleton sat.Exchange. One worker never probes (it only asks for a
-// job once its ladder is done), so it gets no pools either.
+// count, each ladder owning its own persistent solver. The calling
+// goroutine is worker 0, so a one-worker compile never leaves it. With
+// more than one worker, idle workers run refuter probes
+// (skeletonEngine.refuteStatus) against still-running ladders, sharing
+// glue clauses with them through a per-skeleton sat.Exchange. One worker
+// never probes (it only asks for a job once its ladder is done), so it
+// gets no pools either.
 //
 // Determinism contract. The scheduler may only act on facts that hold
 // under every schedule:
-//   - An authoritative ladder's search is never perturbed: its session
+//   - An authoritative ladder's search is never perturbed: its solver
 //     exports clauses but imports nothing, so each ladder's outcome is the
 //     same function of (spec, skeleton, options) it is at -workers 1.
 //   - A refuter UNSAT at the ladder cap with only the seed examples proves
@@ -42,7 +43,7 @@ import (
 //     which ladder finished first.
 
 // ladderProducerID is the Exchange producer id reserved for a skeleton's
-// authoritative ladder session; refuter probes use 1+ordinal.
+// authoritative ladder; refuter probes use 1+ordinal.
 const ladderProducerID = 0
 
 // maxRefutersPerSkeleton bounds concurrent refuter probes per ladder; more
@@ -103,8 +104,6 @@ type portfolio struct {
 	refSeq      []int  // refuters ever launched per skeleton
 	noMoreRef   []bool // a probe came back SAT; re-probing cannot help
 	refuted     []bool
-
-	stopNew bool // a provably-cheapest result ended the race
 
 	stats PortfolioStats
 }
@@ -388,7 +387,6 @@ func (p *portfolio) onSuccess(idx int, res *Result) {
 	if !p.in.provablyCheapest(res) {
 		return
 	}
-	p.stopNew = true
 	for j := idx + 1; j < len(p.phase); j++ {
 		switch p.phase[j] {
 		case skelPending:

@@ -246,11 +246,8 @@ func buildSkeletons(spec *pir.Spec, profile hw.Profile, opts Options, unroll int
 
 	loopy := spec.HasLoop()
 	if loopy && !profile.AllowLoops() {
-		if unroll <= 0 {
-			unroll = 4
-		}
 		var uerr error
-		spec, uerr = unrollSpec(spec, unroll)
+		spec, uerr = unrollSpec(spec, unrollDepth(unroll))
 		if uerr != nil {
 			return nil, nil, uerr
 		}

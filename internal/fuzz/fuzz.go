@@ -185,7 +185,7 @@ func Check(cfg Config, spec *pir.Spec, maxIter int) (*Divergence, Outcome, error
 	if spec.HasLoop() && !cfg.Profile.AllowLoops() {
 		depth := maxIter
 		if depth <= 0 {
-			depth = 4 // core.Compile's default unroll bound
+			depth = core.DefaultUnroll
 		}
 		unrolled, uerr := core.Unroll(spec, depth)
 		if uerr != nil {

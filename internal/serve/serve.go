@@ -375,6 +375,11 @@ func (s *Server) buildOptions(ro *CompileOptions) (core.Options, int) {
 	if ro.Workers > 0 {
 		want = ro.Workers
 	}
+	if !opts.Opt7Parallelism {
+		// Without Opt7 the compile runs one worker however many tokens it
+		// holds, so a larger ask would only starve concurrent compiles.
+		want = 1
+	}
 	return opts, want
 }
 

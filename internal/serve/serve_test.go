@@ -429,6 +429,26 @@ func TestPortfolioCountersAtOneWorker(t *testing.T) {
 	}
 }
 
+// TestNaiveCompileAsksOneWorker pins the scheduler ask of a naive compile:
+// with Opt7 off CompileContext runs one worker, so a minutes-long naive
+// compile must not hold pool tokens it never uses.
+func TestNaiveCompileAsksOneWorker(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) { c.Workers = 4 })
+	for _, tc := range []struct {
+		ro   *CompileOptions
+		want int
+	}{
+		{&CompileOptions{Naive: true}, 1},
+		{&CompileOptions{Naive: true, Workers: 3}, 1},
+		{&CompileOptions{}, 4},
+		{&CompileOptions{Workers: 3}, 3},
+	} {
+		if _, want := s.buildOptions(tc.ro); want != tc.want {
+			t.Errorf("buildOptions(%+v) asks for %d tokens, want %d", *tc.ro, want, tc.want)
+		}
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	resp, err := http.Get(ts.URL + "/healthz")

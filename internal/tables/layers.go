@@ -29,7 +29,7 @@ func CompileContract(spec *pir.Spec, profile hw.Profile, maxIter int) (*pir.Spec
 		return spec, res.Program, nil
 	}
 	if maxIter <= 0 {
-		maxIter = 4 // core.Compile's default unroll bound
+		maxIter = core.DefaultUnroll
 	}
 	want, err := core.Unroll(spec, maxIter)
 	return want, res.Program, err
