@@ -64,7 +64,7 @@ func main() {
 		dimacsDir  = flag.String("dimacs", "", "directory to write the compile's hardest SAT query as DIMACS CNF")
 		certOut    = flag.String("cert", "", "write a compilation certificate (bisimulation witness, plus the -proof bundle when enabled) to this file")
 		proofOut   = flag.String("proof", "", "enable DRAT proof logging and write the hardest UNSAT query's proof to this file (its CNF lands alongside as <file>.cnf)")
-		workers    = flag.Int("workers", 0, "portfolio goroutines for skeleton ladders and refuter probes (0 = GOMAXPROCS, 1 = sequential)")
+		workers    = flag.Int("workers", 0, "portfolio goroutines for skeleton ladders (0 = GOMAXPROCS, 1 = sequential)")
 		memoDir    = flag.String("memo-dir", "", "persist the cross-compile memo under this directory (warm-starts later compiles)")
 		noMemo     = flag.Bool("no-memo", false, "disable the cross-compile memo even when -memo-dir is set")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the compilation to this file")

@@ -156,7 +156,7 @@ func (c *Certificate) SelfCheck() error {
 		return err
 	}
 	if c.Proof != nil {
-		if err := CheckDRAT(c.Proof.DIMACS, c.Proof.DRAT, Tolerant); err != nil {
+		if err := CheckDRAT(c.Proof.DIMACS, c.Proof.DRAT); err != nil {
 			return fmt.Errorf("cert: proof: %w", err)
 		}
 	}

@@ -21,28 +21,15 @@ import (
 //   - "d <lits> 0" deletes one instance of a clause; deletions of unit
 //     clauses are ignored (their propagations are kept), matching
 //     standard forward checkers
-//   - "c import" flags the next addition as an exchange-imported
-//     clause; in Tolerant mode a flagged addition that fails the RUP
-//     check is admitted as an axiom (it was derived by a sibling solver
-//     from the same instance), in Strict mode it must be RUP like any
-//     other lemma
+//   - "c ..." lines are comments
+//   - every added clause must be RUP
 //   - the proof ends with the empty clause ("0"); the check succeeds
 //     only if unit propagation has derived a contradiction by then
-
-// DRATMode selects how exchange-imported clauses are treated.
-type DRATMode int
-
-const (
-	// Strict requires every added clause, imported or not, to be RUP.
-	Strict DRATMode = iota
-	// Tolerant admits import-flagged additions that fail RUP as axioms.
-	Tolerant
-)
 
 // CheckDRAT validates that proof is a correct DRAT refutation of the
 // DIMACS instance. It returns nil exactly when the proof derives the
 // empty clause by reverse unit propagation.
-func CheckDRAT(dimacs, proof []byte, mode DRATMode) error {
+func CheckDRAT(dimacs, proof []byte) error {
 	ck := &dratChecker{watches: map[int][]int{}, byKey: map[string][]int{}}
 	if err := ck.loadDIMACS(dimacs); err != nil {
 		return fmt.Errorf("cert: drat: %w", err)
@@ -50,17 +37,10 @@ func CheckDRAT(dimacs, proof []byte, mode DRATMode) error {
 	sc := bufio.NewScanner(bytes.NewReader(proof))
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	lineNo := 0
-	importNext := false
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "c") {
-			if line == "c import" || strings.HasPrefix(line, "c import ") {
-				importNext = true
-			}
+		if line == "" || strings.HasPrefix(line, "c") {
 			continue
 		}
 		del := false
@@ -76,8 +56,6 @@ func CheckDRAT(dimacs, proof []byte, mode DRATMode) error {
 			ck.deleteClause(lits)
 			continue
 		}
-		imported := importNext
-		importNext = false
 		if len(lits) == 0 {
 			if ck.contradiction {
 				return nil // refutation complete
@@ -85,9 +63,7 @@ func CheckDRAT(dimacs, proof []byte, mode DRATMode) error {
 			return fmt.Errorf("cert: drat: line %d: empty clause is not derivable by unit propagation", lineNo)
 		}
 		if !ck.rup(lits) {
-			if !(mode == Tolerant && imported) {
-				return fmt.Errorf("cert: drat: line %d: clause %v is not RUP", lineNo, lits)
-			}
+			return fmt.Errorf("cert: drat: line %d: clause %v is not RUP", lineNo, lits)
 		}
 		ck.addClause(lits)
 	}

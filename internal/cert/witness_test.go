@@ -158,30 +158,25 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 func TestCheckDRAT(t *testing.T) {
 	cnf := "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
 	proof := "2 0\n0\n"
-	if err := CheckDRAT([]byte(cnf), []byte(proof), Strict); err != nil {
+	if err := CheckDRAT([]byte(cnf), []byte(proof)); err != nil {
 		t.Fatalf("valid refutation rejected: %v", err)
 	}
 	// Dropping the lemma leaves the empty clause underivable.
-	if err := CheckDRAT([]byte(cnf), []byte("0\n"), Strict); err == nil {
+	if err := CheckDRAT([]byte(cnf), []byte("0\n")); err == nil {
 		t.Fatal("truncated proof accepted")
 	}
-	// A non-RUP addition must be rejected...
+	// A non-RUP addition must be rejected, even one a comment labels an
+	// import.
 	bogus := "c import\n3 0\n0\n"
-	if err := CheckDRAT([]byte(cnf), []byte(bogus), Strict); err == nil {
-		t.Fatal("strict mode accepted a non-RUP import")
-	}
-	// ...unless it is an import and the checker is tolerant. The axiom
-	// 3 plus the instance still needs the rest of the refutation.
-	tolerated := "c import\n3 0\n2 0\n0\n"
-	if err := CheckDRAT([]byte(cnf), []byte(tolerated), Tolerant); err != nil {
-		t.Fatalf("tolerant mode rejected an imported axiom: %v", err)
+	if err := CheckDRAT([]byte(cnf), []byte(bogus)); err == nil {
+		t.Fatal("checker accepted a non-RUP addition")
 	}
 	// A satisfiable instance has no refutation.
 	sat := "p cnf 2 1\n1 2 0\n"
-	if err := CheckDRAT([]byte(sat), []byte("0\n"), Strict); err == nil {
+	if err := CheckDRAT([]byte(sat), []byte("0\n")); err == nil {
 		t.Fatal("claimed refutation of a satisfiable instance accepted")
 	}
-	if err := CheckDRAT([]byte("garbage in"), []byte("0\n"), Strict); err == nil {
+	if err := CheckDRAT([]byte("garbage in"), []byte("0\n")); err == nil {
 		t.Fatal("malformed DIMACS not reported")
 	}
 }
@@ -189,7 +184,7 @@ func TestCheckDRAT(t *testing.T) {
 func TestCheckDRATDeletion(t *testing.T) {
 	cnf := "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
 	proof := "2 0\nd 1 2 0\n0\n"
-	if err := CheckDRAT([]byte(cnf), []byte(proof), Strict); err != nil {
+	if err := CheckDRAT([]byte(cnf), []byte(proof)); err != nil {
 		t.Fatalf("refutation with deletion rejected: %v", err)
 	}
 }

@@ -68,42 +68,66 @@ func TestCompileTimeoutPrompt(t *testing.T) {
 	}
 }
 
+type cancelMode struct {
+	name string
+	opts Options
+}
+
+// cancelModes are the worker counts the cancellation tests run at: the
+// naive mode on the caller's goroutine alone, and the same compile on a
+// four-worker portfolio, where idle workers must drain the pending queue
+// as canceled instead of starting ladders.
+func cancelModes() []cancelMode {
+	parallel := NaiveOptions()
+	parallel.Opt7Parallelism = true
+	parallel.Workers = 4
+	return []cancelMode{{"naive-1-worker", NaiveOptions()}, {"naive-4-workers", parallel}}
+}
+
 // TestCompileContextPreCanceled checks that an already-canceled context is
 // reported as the context's error, not as a bogus ErrTimeout or
 // ErrNoSolution.
 func TestCompileContextPreCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := CompileContext(ctx, hardSpec(t), hw.Tofino(), NaiveOptions())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v want context.Canceled", err)
+	for _, m := range cancelModes() {
+		t.Run(m.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err := CompileContext(ctx, hardSpec(t), hw.Tofino(), m.opts)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err=%v want context.Canceled", err)
+			}
+		})
 	}
 }
 
 // TestCompileContextCancelMidFlight cancels a long naive compilation from
 // another goroutine and checks it aborts promptly with the context error.
 func TestCompileContextCancelMidFlight(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	res, err := CompileContext(ctx, hardSpec(t), hw.Tofino(), NaiveOptions())
-	elapsed := time.Since(start)
-	if err == nil {
-		// The compile won the race against the cancel; nothing to assert
-		// beyond basic sanity.
-		if res == nil {
-			t.Fatal("nil result with nil error")
-		}
-		t.Skip("compilation finished before the cancel fired")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v want context.Canceled", err)
-	}
-	if elapsed > 10*time.Second {
-		t.Errorf("cancel honored only after %v", elapsed)
+	for _, m := range cancelModes() {
+		t.Run(m.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(100 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			res, err := CompileContext(ctx, hardSpec(t), hw.Tofino(), m.opts)
+			elapsed := time.Since(start)
+			if err == nil {
+				// The compile won the race against the cancel; nothing to
+				// assert beyond basic sanity.
+				if res == nil {
+					t.Fatal("nil result with nil error")
+				}
+				t.Skip("compilation finished before the cancel fired")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err=%v want context.Canceled", err)
+			}
+			if elapsed > 10*time.Second {
+				t.Errorf("cancel honored only after %v", elapsed)
+			}
+		})
 	}
 }
 

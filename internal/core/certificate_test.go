@@ -126,12 +126,8 @@ func TestCertificateProofBundle(t *testing.T) {
 	if c.Proof.Status != "unsat" {
 		t.Fatalf("proof bundle from a %q solve", c.Proof.Status)
 	}
-	if err := cert.CheckDRAT(c.Proof.DIMACS, c.Proof.DRAT, cert.Strict); err != nil {
-		// Tolerant is the documented bar (imports are axioms); strict
-		// failures are fine only if an import was involved.
-		if terr := cert.CheckDRAT(c.Proof.DIMACS, c.Proof.DRAT, cert.Tolerant); terr != nil {
-			t.Fatalf("proof bundle does not check: %v", terr)
-		}
+	if err := cert.CheckDRAT(c.Proof.DIMACS, c.Proof.DRAT); err != nil {
+		t.Fatalf("proof bundle does not check: %v", err)
 	}
 }
 

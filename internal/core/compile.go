@@ -173,19 +173,18 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 		return minLB > 0 && objective.Cost(r.Resources) <= minLB
 	}
 
-	// Cross-compile memo keys (tier 2: skeleton-UNSAT facts; tier 3: glue
-	// clause pools). Computed once per compile; nil when no memo is
-	// attached or the spec resists canonicalization, in which case the
-	// portfolio runs exactly as it would without a memo.
-	var memoK *memoKeys
+	// Cross-compile memo keys (tier 2: skeleton-UNSAT facts). Computed
+	// once per compile; nil when no memo is attached or the spec resists
+	// canonicalization, in which case the portfolio runs exactly as it
+	// would without a memo.
+	var memoK []string
 	if opts.Memo != nil {
 		memoK = computeMemoKeys(effSynth, synthSks, profile, opts)
 	}
 
 	// §6.7 as a bounded portfolio: skeletons form a work queue drained by
-	// the resolved worker count, idle workers run refuter probes against
-	// still-running ladders, and glue clauses flow through a per-skeleton
-	// exchange (see portfolio.go for why every scheduler action is
+	// the resolved worker count, each worker running one skeleton's ladder
+	// at a time (see portfolio.go for why every scheduler action is
 	// schedule-invariant). Without Opt7 the same scheduler runs on the
 	// caller's goroutine alone. Results come back in skeleton-index order,
 	// so the reduction below resolves ties identically at every worker
@@ -219,9 +218,6 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 			best = o.res
 		}
 	}
-	// Refuter probes are solver work this compile performed; fold them into
-	// the totals so wall time and effort stay reconcilable.
-	stats.Solver.Add(stats.Portfolio.RefuterEffort)
 	if best == nil {
 		// Order matters: a deadline explains canceled attempts, but it is
 		// checked only here, after every collected result has been
@@ -386,16 +382,13 @@ func ladderBounds(effSynth *pir.Spec, synthSk *skeleton, profile hw.Profile, opt
 	return low, capN
 }
 
-// newSkeletonEngine builds the immutable ladder context for one skeleton
-// and returns it with the ladder endpoints. spec is the user's original
-// specification (used for the emitted program's field table);
-// effOrig/effSynth are the effective verification specs — equal to
-// spec/scaled-spec for loop-capable targets, their bounded unrollings for
-// pipelined ones. The portfolio scheduler uses the endpoints for refuter
-// targeting before any ladder runs.
-func newSkeletonEngine(spec, effOrig, effSynth *pir.Spec, origSk, synthSk *skeleton, profile hw.Profile, opts Options) (*skeletonEngine, int, int) {
-	low, capN := ladderBounds(effSynth, synthSk, profile, opts)
-	eng := &skeletonEngine{
+// newSkeletonEngine builds the immutable ladder context for one skeleton.
+// spec is the user's original specification (used for the emitted
+// program's field table); effOrig/effSynth are the effective verification
+// specs — equal to spec/scaled-spec for loop-capable targets, their
+// bounded unrollings for pipelined ones.
+func newSkeletonEngine(spec, effOrig, effSynth *pir.Spec, origSk, synthSk *skeleton, profile hw.Profile, opts Options) *skeletonEngine {
+	return &skeletonEngine{
 		spec:     spec,
 		effOrig:  effOrig,
 		effSynth: effSynth,
@@ -404,7 +397,6 @@ func newSkeletonEngine(spec, effOrig, effSynth *pir.Spec, origSk, synthSk *skele
 		profile:  profile,
 		opts:     opts,
 	}
-	return eng, low, capN
 }
 
 // skeletonEngine is the immutable context of one skeleton's budget ladder.
@@ -421,21 +413,13 @@ type skeletonEngine struct {
 	// leaves it false — that verdict depends on which model the solver
 	// happened to find.
 	capUnsat bool
-
-	// exchange, when non-nil, is this skeleton's portfolio clause pool. The
-	// authoritative ladder's solver attaches export-only: it publishes the
-	// glue clauses it learns (tagged with its example epoch) but never
-	// imports, so its search — and therefore the final model, the entry
-	// table, and the stage count — is bit-identical to a one-worker run,
-	// which has no pool. Only the scheduler's refuter probes import.
-	exchange *sat.Exchange
 }
 
-// budgetEnv is the mutable CEGIS environment of one ladder or refuter
-// probe: the verifier pair (whose sampling RNGs advance as candidates are
-// checked) and the growing example pool. A ladder threads one env through
-// every rung, carrying counterexamples up the ladder as classic iterative
-// deepening does.
+// budgetEnv is the mutable CEGIS environment of one ladder: the verifier
+// pair (whose sampling RNGs advance as candidates are checked) and the
+// growing example pool. A ladder threads one env through every rung,
+// carrying counterexamples up the ladder as classic iterative deepening
+// does.
 type budgetEnv struct {
 	ver, origVer *verifier
 	examples     *exampleSet
@@ -469,7 +453,7 @@ type example struct {
 }
 
 // exampleSet is an append-only CEGIS example pool. Each pool belongs to a
-// single ladder or refuter probe, so it needs no locking.
+// single ladder, so it needs no locking.
 type exampleSet struct {
 	spec       *pir.Spec
 	iterBudget int
@@ -497,15 +481,13 @@ func (e *exampleSet) size() int { return len(e.ex) }
 // effort is therefore that one solver's final snapshot (plus the total of
 // an Opt2 fallback ladder, when one ran); it is returned even when the
 // skeleton fails, so Compile can account for all the work.
-func (eng *skeletonEngine) runLadder(ctx context.Context, low, capN int) (*Result, SolverStats, error) {
+func (eng *skeletonEngine) runLadder(ctx context.Context) (*Result, SolverStats, error) {
+	low, capN := ladderBounds(eng.effSynth, eng.synthSk, eng.profile, eng.opts)
 	env, err := eng.newEnv()
 	if err != nil {
 		return nil, SolverStats{}, err
 	}
 	sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, eng.opts)
-	if eng.exchange != nil {
-		sy.attachExchange(eng.exchange, ladderProducerID, -1)
-	}
 	var st Stats
 	for budget := low; budget <= capN; budget++ {
 		st.BudgetsTried++
@@ -532,71 +514,6 @@ func (eng *skeletonEngine) runLadder(ctx context.Context, low, capN int) (*Resul
 	return nil, st.Solver, ErrNoSolution
 }
 
-// refuteStatus runs one cap-budget infeasibility probe against this skeleton: a
-// fresh deterministic re-encode of the same symbolic entry table at the
-// ladder cap, fed only the two deterministic seed examples, solved under
-// the weakest cardinality assumption the ladder will ever use. UNSAT here
-// is a proof that no rung of the ladder can ever succeed — adding
-// counterexamples only strengthens the formula, and every rung's budget
-// assumption is at least as tight — so the scheduler may cancel the
-// authoritative ladder and report ErrNoSolution, exactly the verdict the
-// ladder would have ground out rung by rung. A SAT probe proves nothing
-// (the seed examples underconstrain the table) and is discarded.
-//
-// The probe diversifies its VSIDS seed so portfolio clones explore
-// different orders, and (unless the exchange is nil) both publishes its
-// glue clauses to the skeleton's pool and imports clauses whose epoch its
-// own two-example formula covers — including the authoritative ladder's
-// early-rung exports.
-func (eng *skeletonEngine) refuteStatus(ctx context.Context, capN int, seed int64, ex *sat.Exchange, producerID int) (sat.Status, SolverStats) {
-	env, err := eng.newEnv()
-	if err != nil {
-		return sat.Unknown, SolverStats{}
-	}
-	opts := eng.opts
-	opts.QuerySink = nil // probes never own the hardest-query dump
-	sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, opts)
-	for _, e := range env.examples.pending(0) {
-		if err := sy.addTestCase(e.in, e.out); err != nil {
-			return sat.Unknown, solverSnapshot(sy.s)
-		}
-		sy.fed++
-	}
-	sy.s.SAT.Diversify(seed)
-	if ex != nil {
-		importEpoch := sy.fed
-		if opts.LogProofs {
-			// Imported pool clauses are implied by the shared formula but
-			// need not be RUP-derivable from this probe's own clause
-			// sequence, so a strict DRAT check of the kill proof would
-			// reject them. Attach export-only: the probe still feeds the
-			// pool, and its refutation stays self-contained.
-			importEpoch = -1
-		}
-		sy.attachExchange(ex, producerID, importEpoch)
-	}
-	stop := func() bool {
-		select {
-		case <-ctx.Done():
-			return true
-		default:
-			return false
-		}
-	}
-	st := sy.solveAt(capN, stop)
-	if st == sat.Unsat && opts.LogProofs {
-		// A refuter kill cancels the authoritative ladder, so it is held to
-		// a higher standard than its own trusted verdict: the probe must
-		// produce a strict DRAT refutation of the exact query it solved, or
-		// the kill is demoted to Unknown and the ladder keeps running.
-		dimacs, err := sy.lastQuery()
-		if err != nil || cert.CheckDRAT(dimacs, sy.lastProof(), cert.Strict) != nil {
-			return sat.Unknown, solverSnapshot(sy.s)
-		}
-	}
-	return st, solverSnapshot(sy.s)
-}
-
 // solverSnapshot converts the bit-blasting layer's counters into the
 // public SolverStats shape.
 func solverSnapshot(s *bv.Solver) SolverStats {
@@ -616,9 +533,6 @@ func solverSnapshot(s *bv.Solver) SolverStats {
 		ConsHits:        m.ConsHits,
 		BinPropagations: m.BinPropagations,
 		GlueLearnts:     m.GlueLearnts,
-		ExportedClauses: m.ExportedClauses,
-		ImportedClauses: m.ImportedClauses,
-		ImportHits:      m.ImportHits,
 	}
 }
 
@@ -756,8 +670,8 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			// specs); fall back by disabling Opt2 for this skeleton.
 			o2 := eng.opts
 			o2.Opt2BitWidthMin = false
-			fallback, low, capN := newSkeletonEngine(eng.spec, eng.effOrig, eng.effOrig, eng.origSk, eng.origSk, eng.profile, o2)
-			res, sub, err := fallback.runLadder(ctx, low, capN)
+			fallback := newSkeletonEngine(eng.spec, eng.effOrig, eng.effOrig, eng.origSk, eng.origSk, eng.profile, o2)
+			res, sub, err := fallback.runLadder(ctx)
 			if err != nil {
 				st.Solver.Add(sub)
 				return nil, err

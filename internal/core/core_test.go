@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"testing"
 	"time"
 
@@ -295,30 +294,5 @@ func TestQuerySinkDumpsReplay(t *testing.T) {
 	}
 	if seen["unsat"] == 0 || seen["sat"] == 0 {
 		t.Errorf("dump statuses %v over %d dumps, want at least one unsat and one sat", seen, len(dumps))
-	}
-}
-
-// TestRefuterKillCarriesStrictProof drives a refuter probe at a cap no
-// table can meet. The probe encodes only the two seed examples: all-zeros
-// (Start accepts) and, at the default seed, k=15 (Start goes to N1, which
-// accepts), so any table needs three entries and a two-entry cap is UNSAT.
-// Under LogProofs a probe's UNSAT stands only if its own DRAT log strictly
-// refutes the query it dumped, and is demoted to Unknown otherwise, so
-// this pins the dump and proof path a kill reads.
-func TestRefuterKillCarriesStrictProof(t *testing.T) {
-	spec := fig3Spec(t)
-	opts := DefaultOptions()
-	opts.LogProofs = true
-	sks, eff, err := buildSkeletons(spec, hw.Tofino(), opts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, _, _ := newSkeletonEngine(spec, eff, eff, &sks[0], &sks[0], hw.Tofino(), opts)
-	st, effort := eng.refuteStatus(context.Background(), 2, 1, nil, 1)
-	if st != sat.Unsat {
-		t.Fatalf("refuter at cap 2 returned %v, want unsat with a strictly checked proof", st)
-	}
-	if effort.Conflicts == 0 {
-		t.Errorf("the cap-2 refutation took no conflicts, so its proof has no lemma to check")
 	}
 }

@@ -40,11 +40,6 @@ type synthesizer struct {
 	lastAssumps []bv.Lit
 	lastStatus  sat.Status
 
-	// ex, when non-nil, is the portfolio clause pool every solve publishes
-	// its learned glue clauses to, as producer exID (see attachExchange).
-	ex   *sat.Exchange
-	exID int
-
 	extractedFields []string // fields some skeleton state extracts, sorted
 }
 
@@ -174,10 +169,7 @@ func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Optio
 
 // solveAt runs the SAT search for one entry-budget rung under the single
 // assumption ladder[budget].Not() — no assumption at or beyond the cap;
-// cancel aborts long searches. The glue clauses the solve learned are
-// published to the attached pool, tagged with the example count they were
-// derived under: the pool's consumers only import clauses whose epoch
-// their own formula covers.
+// cancel aborts long searches.
 func (sy *synthesizer) solveAt(budget int, cancel func() bool) sat.Status {
 	sy.s.SAT.Cancel = cancel
 	sy.lastAssumps = nil
@@ -185,27 +177,7 @@ func (sy *synthesizer) solveAt(budget int, cancel func() bool) sat.Status {
 		sy.lastAssumps = []bv.Lit{sy.ladder[budget].Not()}
 	}
 	sy.lastStatus = sy.s.Solve(sy.lastAssumps...)
-	if sy.ex != nil {
-		sy.ex.Publish(sy.exID, sy.fed, sy.s.SAT.DrainGlue())
-	}
 	return sy.lastStatus
-}
-
-// attachExchange joins the synthesizer to a portfolio clause pool as
-// producer id: every solve afterwards publishes the glue clauses it
-// learns. When importMaxEpoch ≥ 0 it also consumes from the pool, clauses
-// with epoch ≤ importMaxEpoch being injected at the solver's restart
-// boundaries. Authoritative ladders, whose models must stay bit-identical
-// to a one-worker run, attach export-only (importMaxEpoch < 0):
-// publishing copies clauses out but never perturbs their own search.
-func (sy *synthesizer) attachExchange(x *sat.Exchange, id, importMaxEpoch int) {
-	sy.ex, sy.exID = x, id
-	sy.s.SAT.CollectGlue = true
-	if importMaxEpoch >= 0 {
-		sy.s.SAT.ImportHook = func() [][]sat.Lit {
-			return x.Collect(id, importMaxEpoch, sy.s.SAT.NumVars())
-		}
-	}
 }
 
 // lastQuery exports the most recent solve's instance as DIMACS CNF: every

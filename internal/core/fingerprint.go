@@ -19,8 +19,8 @@ import "fmt"
 //     result arrives. Timed-out compilations must not be cached at all.
 //   - QuerySink / Seed-independent instrumentation: observation only.
 //   - Memo: the cross-compile memo only replays verdicts it previously
-//     proved (tier 2) or seeds clause pools the ladders never import
-//     (tier 3) — a memoized compile's outcome equals the cold one's.
+//     proved (tier 2) — a memoized compile's outcome equals the cold
+//     one's.
 //   - EmitCertificate / LogProofs: certificates and DRAT logs describe
 //     the compilation without steering it — proof logging appends to a
 //     side buffer and never changes a solver decision, and the witness

@@ -3,8 +3,6 @@ package core
 import (
 	"reflect"
 	"testing"
-
-	"parserhawk/internal/sat"
 )
 
 // TestOptionsFingerprint pins which Options fields reach the compile
@@ -60,7 +58,5 @@ func TestOptionsFingerprint(t *testing.T) {
 // nopMemo is a Memo that remembers nothing.
 type nopMemo struct{}
 
-func (nopMemo) SkeletonUnsat(string) bool                  { return false }
-func (nopMemo) RecordSkeletonUnsat(string)                 {}
-func (nopMemo) GlueClauses(string) []sat.SeedClause        { return nil }
-func (nopMemo) RecordGlueClauses(string, []sat.SeedClause) {}
+func (nopMemo) SkeletonUnsat(string) bool  { return false }
+func (nopMemo) RecordSkeletonUnsat(string) {}

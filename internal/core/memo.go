@@ -13,55 +13,30 @@ import (
 
 	"parserhawk/internal/hw"
 	"parserhawk/internal/pir"
-	"parserhawk/internal/sat"
 )
 
-// Memo is the subset of the memo cache the synthesis core talks to.
-//
-// Tier 2 — SkeletonUnsat/RecordSkeletonUnsat — stores the fact "this
+// Memo is the subset of the memo cache the synthesis core talks to: its
+// tier 2. SkeletonUnsat/RecordSkeletonUnsat store the fact "this
 // skeleton's encoding is solver-UNSAT at its ladder cap": with values
 // drawn from any spec-consistent example set, no entry table within the
 // cap exists in the skeleton's search space, so the whole ladder's
 // ErrNoSolution verdict may be recalled without running it. The fact is
-// recorded only from genuine solver UNSATs (a refuter kill, or a ladder
-// whose cap rung climbed via UNSAT — never via a device-validation
-// failure of a found model, which is seed-dependent), and is keyed by
-// the canonical spec + skeleton structure + cap + profile + options
-// minus the seed (see tier2Key).
-//
-// Tier 3 — GlueClauses/RecordGlueClauses — stores a skeleton's exchange
-// pool (epoch ≤ seedExampleCount clauses) for exact replays only: the
-// key includes the seed and the un-canonicalized spec text, so seeded
-// clauses always refer to a bit-identical formula and variable
-// numbering.
+// recorded only from genuine solver UNSATs (a ladder whose cap rung
+// climbed via UNSAT — never via a device-validation failure of a found
+// model, which is seed-dependent), and is keyed by the canonical spec +
+// skeleton structure + cap + profile + options minus the seed (see
+// computeMemoKeys).
 type Memo interface {
 	SkeletonUnsat(key string) bool
 	RecordSkeletonUnsat(key string)
-	GlueClauses(key string) []sat.SeedClause
-	RecordGlueClauses(key string, clauses []sat.SeedClause)
-}
-
-// seedExampleCount is the number of deterministic seed examples every
-// CEGIS environment starts from (all-zeros plus one seeded-random input;
-// see newEnv). Refuter probes prove their UNSATs against exactly these,
-// and only clauses learned at this epoch or below are persisted to (and
-// seeded from) the tier-3 pool — any consumer has at least these
-// examples encoded.
-const seedExampleCount = 2
-
-// memoKeys carries the per-skeleton tier-2/tier-3 keys of one compile.
-// An empty string marks a skeleton that could not be keyed (canonicalization
-// failed or referenced an unknown field); such skeletons are neither
-// consulted nor recorded.
-type memoKeys struct {
-	tier2 []string
-	tier3 []string
 }
 
 // computeMemoKeys canonicalizes the effective synthesis spec and derives
-// each skeleton's memo keys. Returns nil when the spec cannot be
+// each skeleton's tier-2 memo key. An empty key marks a skeleton that
+// could not be keyed (it referenced an unknown field); such skeletons are
+// neither consulted nor recorded. Returns nil when the spec cannot be
 // canonicalized — the compile then simply runs unmemoized.
-func computeMemoKeys(effSynth *pir.Spec, synthSks []skeleton, profile hw.Profile, opts Options) *memoKeys {
+func computeMemoKeys(effSynth *pir.Spec, synthSks []skeleton, profile hw.Profile, opts Options) []string {
 	canon, wit, err := pir.Canonicalize(effSynth)
 	if err != nil {
 		return nil
@@ -77,15 +52,13 @@ func computeMemoKeys(effSynth *pir.Spec, synthSks []skeleton, profile hw.Profile
 	}
 
 	// The seed steers CEGIS example generation but never the existence of
-	// a solution, so tier-2 facts are shared across seeds; tier-3 clause
-	// pools are not (see tier3 below).
+	// a solution, so tier-2 facts are shared across seeds.
 	noSeed := opts
 	noSeed.Seed = 0
 	optsFP := noSeed.Fingerprint()
 	canonText := canon.String()
-	specSHA := fmt.Sprintf("%x", sha256.Sum256([]byte(effSynth.String())))
 
-	keys := &memoKeys{tier2: make([]string, len(synthSks)), tier3: make([]string, len(synthSks))}
+	keys := make([]string, len(synthSks))
 	for i := range synthSks {
 		ser, ok := serializeSkeleton(&synthSks[i], fieldCanon, stateCanon, stateNameCanon)
 		if !ok {
@@ -94,12 +67,7 @@ func computeMemoKeys(effSynth *pir.Spec, synthSks []skeleton, profile hw.Profile
 		low, capN := ladderBounds(effSynth, &synthSks[i], profile, opts)
 		base := fmt.Sprintf("%s\x00%s\x00%d:%d\x00%s\x00%s",
 			canonText, ser, low, capN, profile.Fingerprint(), optsFP)
-		keys.tier2[i] = fmt.Sprintf("%x", sha256.Sum256([]byte("t2\x00"+base)))
-		// Exact-replay key: the clause pool's variable numbering follows the
-		// encoder over the ORIGINAL (un-renamed) spec, and the seed examples
-		// follow Options.Seed, so both join the key.
-		keys.tier3[i] = fmt.Sprintf("%x", sha256.Sum256([]byte(
-			fmt.Sprintf("t3\x00%s\x00seed=%d\x00%s", base, opts.Seed, specSHA))))
+		keys[i] = fmt.Sprintf("%x", sha256.Sum256([]byte("t2\x00"+base)))
 	}
 	return keys
 }

@@ -88,14 +88,10 @@ type Options struct {
 	EmitCertificate bool
 
 	// LogProofs enables DRAT proof logging in every solver this compile
-	// creates. Each budget rung's hardest UNSAT query then carries
-	// a replayable refutation (QueryDump.Proof), and portfolio refuter
-	// kills are honored only after their proof passes the forward DRAT
-	// check — certified rather than trusted. Proof-logging probes attach
-	// to the clause exchange export-only so their refutations stay
-	// self-contained. Off by default: logging copies every learnt clause.
-	// Outcome-invariant and excluded from Fingerprint (a refuter kill it
-	// suppresses only defers the same UNSAT verdict to the ladder).
+	// creates. Each budget rung's hardest UNSAT query then carries a
+	// replayable refutation (QueryDump.Proof). Off by default: logging
+	// copies every learnt clause. Outcome-invariant and excluded from
+	// Fingerprint.
 	LogProofs bool
 
 	// Seed makes test-case generation deterministic.
@@ -103,13 +99,9 @@ type Options struct {
 
 	// Memo, when non-nil, connects the compile to a cross-compile memo
 	// cache (internal/memo): the portfolio consults tier-2 skeleton
-	// UNSAT-at-cap facts before starting a ladder and seeds each
-	// skeleton's clause pool with tier-3 glue clauses recorded by an
-	// identical earlier compile. Outcome-invariant and excluded from
-	// Fingerprint: a tier-2 fact only skips a ladder whose ErrNoSolution
-	// verdict is already proven (same rule as a refuter kill), and tier-3
-	// seeds flow through the exchange's existing import path, which the
-	// authoritative ladders never read.
+	// UNSAT-at-cap facts before starting a ladder. Outcome-invariant and
+	// excluded from Fingerprint: a tier-2 fact only skips a ladder whose
+	// ErrNoSolution verdict is already proven.
 	Memo Memo
 }
 
@@ -177,15 +169,12 @@ type Stats struct {
 
 	// Solver aggregates the CDCL/bit-blasting counters over every solver
 	// instance the compilation ran — including skeleton attempts and budget
-	// rungs that lost the race or were canceled, and the portfolio's refuter
-	// probes, so it measures total search effort, not just the winner's.
+	// rungs that lost the race or were canceled — so it measures total
+	// search effort, not just the winner's.
 	Solver SolverStats `json:"solver"`
 	// Portfolio reports the skeleton scheduler's activity: worker count,
-	// ladders and refuter probes run, skeletons killed by refutation or the
-	// shared best-cost bound, and clause-exchange traffic. Every compile
-	// runs the scheduler; at one worker (-workers 1, or Opt7 off) no
-	// refuter probe runs and no clause pool exists, so those counters stay
-	// zero.
+	// ladders run, and skeletons dropped by the shared best-cost bound or
+	// the memo. Every compile runs the scheduler, at every worker count.
 	Portfolio PortfolioStats `json:"portfolio"`
 	// Iterations is the winning budget rung's per-CEGIS-iteration trace.
 	// Solver snapshots within it are cumulative for the skeleton ladder's
@@ -227,14 +216,6 @@ type SolverStats struct {
 	// GlueLearnts counts learnt clauses with literal block distance ≤ 2 at
 	// learning time; the solver's reduceDB never deletes them.
 	GlueLearnts int64 `json:"glue_learnts"`
-	// ExportedClauses counts glue clauses published to the portfolio's
-	// clause exchange; ImportedClauses counts clauses adopted from it by
-	// refuter probes; ImportHits counts the times an imported clause
-	// participated in conflict analysis — proof work the exchange saved.
-	// All zero at one worker, where no clause pool exists.
-	ExportedClauses int64 `json:"exported_clauses"`
-	ImportedClauses int64 `json:"imported_clauses"`
-	ImportHits      int64 `json:"import_hits"`
 }
 
 // Add accumulates another snapshot into s.
@@ -253,9 +234,6 @@ func (s *SolverStats) Add(o SolverStats) {
 	s.ConsHits += o.ConsHits
 	s.BinPropagations += o.BinPropagations
 	s.GlueLearnts += o.GlueLearnts
-	s.ExportedClauses += o.ExportedClauses
-	s.ImportedClauses += o.ImportedClauses
-	s.ImportHits += o.ImportHits
 }
 
 // PortfolioStats reports what the parallel portfolio scheduler did during
@@ -268,11 +246,6 @@ type PortfolioStats struct {
 	// LaddersRun counts skeleton ladders actually started (skeletons
 	// dropped by domination or a provably-cheapest sibling are not run).
 	LaddersRun int `json:"ladders_run"`
-	// RefutersRun counts cap-budget infeasibility probes launched by idle
-	// workers; SkeletonsRefuted counts skeletons those probes killed with a
-	// cap-level UNSAT proof.
-	RefutersRun      int `json:"refuters_run"`
-	SkeletonsRefuted int `json:"skeletons_refuted"`
 	// SkeletonsDominated counts skeletons dropped (or canceled mid-ladder)
 	// because a lower-index sibling reached the portfolio's entry lower
 	// bound — the shared best-cost bound's provably-cheapest rule, the one
@@ -280,21 +253,9 @@ type PortfolioStats struct {
 	SkeletonsDominated int `json:"skeletons_dominated"`
 	// SkeletonsMemoSkipped counts skeletons never started because the
 	// memo cache (Options.Memo) held a tier-2 UNSAT-at-cap fact for their
-	// canonical key — the same ErrNoSolution verdict a refuter kill or the
-	// ladder itself would have produced, recalled instead of re-proven.
+	// canonical key — the same ErrNoSolution verdict the ladder itself
+	// would have produced, recalled instead of re-proven.
 	SkeletonsMemoSkipped int `json:"skeletons_memo_skipped,omitempty"`
-	// RefuterEffort totals the refuter probes' solver work. It is folded
-	// into Stats.Solver, so compile-wide totals stay honest.
-	RefuterEffort SolverStats `json:"refuter_effort"`
-	// Exchange traffic summed over the per-skeleton clause pools: glue
-	// clauses published by producers, clauses handed to consumers, and
-	// publishes refused at the pool capacity.
-	ExchangePublished int64 `json:"exchange_published"`
-	ExchangeCollected int64 `json:"exchange_collected"`
-	ExchangeDropped   int64 `json:"exchange_dropped"`
-	// ExchangeSeeded counts clauses injected into the pools from the memo
-	// cache's tier-3 records before any solver ran.
-	ExchangeSeeded int64 `json:"exchange_seeded,omitempty"`
 }
 
 // QueryDump is one captured SAT query for offline debugging: the DIMACS

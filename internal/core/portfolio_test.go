@@ -110,10 +110,11 @@ func exampleSpecs(t *testing.T) []*pir.Spec {
 
 // TestPortfolioDeterminismOverExampleCorpus compiles every example spec at
 // -workers 1, 2, and 8 on both device families and requires identical
-// verdicts, entry tables, and stage counts. The -workers 1 run has no clause
-// pools and runs no refuter probes, while the 2- and 8-worker runs have
-// both, so this pins exchange-off against exchange-on: refuters, clause
-// sharing, and domination must never change an outcome.
+// verdicts, entry tables, and stage counts. The -workers 1 run climbs every
+// ladder in index order on one goroutine, while the 2- and 8-worker runs
+// race ladders and cancel higher-index siblings through the
+// provably-cheapest rule, so this pins that neither scheduling nor
+// domination ever changes an outcome.
 func TestPortfolioDeterminismOverExampleCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("portfolio determinism sweep")
@@ -148,12 +149,12 @@ func TestPortfolioDeterminismOverRandomSpecs(t *testing.T) {
 	}
 }
 
-// TestPortfolioExchangeUnderContention is the fast concurrency smoke the
-// -race job targets: wide-key benchmarks whose split variants give the
-// scheduler several skeletons and multi-rung ladders, compiled at
-// -workers 8 so ladders, refuter probes, the clause pools, and the shared
-// bound all run at once, checked against the one-worker fingerprint.
-func TestPortfolioExchangeUnderContention(t *testing.T) {
+// TestPortfolioUnderContention is the fast concurrency smoke the -race
+// job targets: wide-key benchmarks whose split variants give the scheduler
+// several skeletons and multi-rung ladders, compiled at -workers 8 so
+// ladders and the shared bound all run at once, checked against the
+// one-worker fingerprint.
+func TestPortfolioUnderContention(t *testing.T) {
 	// The scaled Tofino profile of the evaluation harness: its 12-bit key
 	// limit forces key splitting, which is what multiplies the skeletons.
 	profile := hw.Profile{

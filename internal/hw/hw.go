@@ -69,9 +69,8 @@ func ArchByName(name string) (Arch, bool) {
 }
 
 // Objective is the device-unit cost model the synthesizer minimizes. The
-// iterative-deepening ladder, the portfolio's dominance comparison, and the
-// refuter probes are all generic over it: "budget" means Objective units,
-// not TCAM entries. The zero value (ObjectiveAuto) derives the historical
+// iterative-deepening ladder and the portfolio's dominance comparison are
+// both generic over it: "budget" means Objective units, not TCAM entries. The zero value (ObjectiveAuto) derives the historical
 // per-architecture default, so profile literals that predate the field keep
 // their exact behavior.
 type Objective int

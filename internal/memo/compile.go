@@ -82,7 +82,7 @@ func (c *Cache) CompileContext(ctx context.Context, spec *pir.Spec, profile hw.P
 
 	inner := opts
 	inner.EmitCertificate = true // store gate; outcome-invariant (see core fingerprint)
-	inner.Memo = c               // tiers 2 and 3
+	inner.Memo = c               // tier 2
 	res, err := core.CompileContext(ctx, spec, profile, inner)
 	c.maybeStore(key, specSHA, wit, res, err)
 	if res != nil && !opts.EmitCertificate {

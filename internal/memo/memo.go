@@ -1,5 +1,5 @@
 // Package memo is ParserHawk's cross-compile memoization layer: a
-// three-tier, optionally disk-backed cache keyed by canonical spec hashes
+// two-tier, optionally disk-backed cache keyed by canonical spec hashes
 // (internal/pir's Canonicalize), so that alias specs — renamed states,
 // reordered rules, shifted field layouts — share cached work.
 //
@@ -11,8 +11,6 @@
 //     re-validates it by sampling before serving it.
 //   - Tier 2 memoizes per-skeleton UNSAT-at-cap facts, letting the
 //     portfolio skip entire budget ladders (see core.Memo).
-//   - Tier 3 memoizes per-skeleton glue-clause pools, seeded into
-//     sat.Exchange on exact replays to warm-start refuter probes.
 //
 // Disk persistence is content-addressed: one file per entry under the
 // cache directory, written via temp-file + atomic rename, integrity-guarded
@@ -31,8 +29,6 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
-
-	"parserhawk/internal/sat"
 )
 
 // Stats counts the cache's traffic. Hits are split by kind for tier 1
@@ -47,9 +43,6 @@ type Stats struct {
 	T2Hits      int64 `json:"t2_hits"`
 	T2Misses    int64 `json:"t2_misses"`
 	T2Stores    int64 `json:"t2_stores"`
-	T3Hits      int64 `json:"t3_hits"`
-	T3Misses    int64 `json:"t3_misses"`
-	T3Stores    int64 `json:"t3_stores"`
 
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
@@ -63,13 +56,12 @@ func (s Stats) Sub(o Stats) Stats {
 		T1Hits: s.T1Hits - o.T1Hits, T1AliasHits: s.T1AliasHits - o.T1AliasHits,
 		T1Misses: s.T1Misses - o.T1Misses, T1Stores: s.T1Stores - o.T1Stores,
 		T2Hits: s.T2Hits - o.T2Hits, T2Misses: s.T2Misses - o.T2Misses, T2Stores: s.T2Stores - o.T2Stores,
-		T3Hits: s.T3Hits - o.T3Hits, T3Misses: s.T3Misses - o.T3Misses, T3Stores: s.T3Stores - o.T3Stores,
 		BytesRead: s.BytesRead - o.BytesRead, BytesWritten: s.BytesWritten - o.BytesWritten,
 		Corrupt: s.Corrupt - o.Corrupt, CanonNanos: s.CanonNanos - o.CanonNanos,
 	}
 }
 
-// Cache is the three-tier memo store. The zero value is not usable; a nil
+// Cache is the two-tier memo store. The zero value is not usable; a nil
 // *Cache is, and behaves as a disabled cache (every operation is a
 // transparent no-op), so callers can thread an optional cache without
 // guards. All methods are safe for concurrent use.
@@ -79,13 +71,12 @@ type Cache struct {
 	mu    sync.Mutex
 	t1    map[string]*t1Entry
 	t2    map[string]bool
-	t3    map[string][]sat.SeedClause
 	stats Stats
 }
 
 // Open returns a cache persisted under dir, creating the directory if
 // needed. Open("") returns a memory-only cache (still useful: repeated
-// compiles within one process share all three tiers).
+// compiles within one process share both tiers).
 func Open(dir string) (*Cache, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -96,7 +87,6 @@ func Open(dir string) (*Cache, error) {
 		dir: dir,
 		t1:  make(map[string]*t1Entry),
 		t2:  make(map[string]bool),
-		t3:  make(map[string][]sat.SeedClause),
 	}, nil
 }
 
@@ -117,7 +107,7 @@ func (c *Cache) addCanon(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// --- core.Memo implementation (tiers 2 and 3) ---
+// --- core.Memo implementation (tier 2) ---
 
 // t2Record is the persisted form of a tier-2 fact; the fact is the file's
 // existence, the body just keeps the format self-describing.
@@ -160,50 +150,6 @@ func (c *Cache) RecordSkeletonUnsat(key string) {
 	c.t2[key] = true
 	c.stats.T2Stores++
 	c.writeEntry("t2", key, t2Record{Unsat: true})
-}
-
-// t3Record is the persisted form of a tier-3 clause pool.
-type t3Record struct {
-	Clauses []sat.SeedClause `json:"clauses"`
-}
-
-// GlueClauses returns the keyed skeleton's persisted glue-clause pool, or
-// nil when none is stored.
-func (c *Cache) GlueClauses(key string) []sat.SeedClause {
-	if c == nil || key == "" {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cls, ok := c.t3[key]; ok {
-		c.stats.T3Hits++
-		return cls
-	}
-	var rec t3Record
-	if c.readEntry("t3", key, &rec) && len(rec.Clauses) > 0 {
-		c.t3[key] = rec.Clauses
-		c.stats.T3Hits++
-		return rec.Clauses
-	}
-	c.stats.T3Misses++
-	return nil
-}
-
-// RecordGlueClauses stores a skeleton's exported pool. First write wins:
-// the key pins the exact formula, so later runs of it learn comparable
-// clauses and rewriting buys nothing.
-func (c *Cache) RecordGlueClauses(key string, clauses []sat.SeedClause) {
-	if c == nil || key == "" || len(clauses) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.t3[key]; ok {
-		return
-	}
-	c.t3[key] = clauses
-	c.stats.T3Stores++
-	c.writeEntry("t3", key, t3Record{Clauses: clauses})
 }
 
 // --- disk layer ---

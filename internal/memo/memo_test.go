@@ -10,7 +10,6 @@ import (
 	"parserhawk/internal/core"
 	"parserhawk/internal/hw"
 	"parserhawk/internal/pir"
-	"parserhawk/internal/sat"
 	"parserhawk/internal/sim"
 )
 
@@ -280,34 +279,13 @@ func TestTier2RoundTripAcrossProcesses(t *testing.T) {
 	}
 }
 
-func TestTier3RoundTripAcrossProcesses(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []sat.SeedClause{{Epoch: 1, Lits: []sat.Lit{2, 5, 9}}, {Epoch: 2, Lits: []sat.Lit{3}}}
-	c.RecordGlueClauses("key1", in)
-	c2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := c2.GlueClauses("key1")
-	if len(out) != 2 || out[0].Epoch != 1 || len(out[0].Lits) != 3 || out[1].Lits[0] != 3 {
-		t.Fatalf("tier-3 round trip mangled clauses: %+v", out)
-	}
-	if c2.GlueClauses("key2") != nil {
-		t.Fatal("tier-3 false positive")
-	}
-}
-
 func TestNilCacheCompiles(t *testing.T) {
 	var c *Cache
 	res, err := c.CompileContext(context.Background(), smallSpec(t), hw.Tofino(), testOpts())
 	if err != nil || res == nil {
 		t.Fatalf("nil cache must pass through: %v", err)
 	}
-	if c.SkeletonUnsat("x") || c.GlueClauses("x") != nil {
+	if c.SkeletonUnsat("x") {
 		t.Fatal("nil cache tiers must be inert")
 	}
 }

@@ -12,22 +12,16 @@ import (
 //
 //   - every learnt clause (unit, binary-implication-list, and long) is
 //     an addition line, in derivation order;
-//   - every exchange-imported clause is an addition line preceded by a
-//     "c import" attribution comment, logged with its original literals
-//     (level-0 simplification only drops falsified duplicates, which
-//     does not change the clause's meaning);
 //   - every reduceDB removal is a deletion ("d") line; binary learnts
-//     and imports join the implication lists permanently and are never
-//     deleted.
+//     join the implication lists permanently and are never deleted.
 //
 // The log deliberately omits the final empty clause: the same session
 // answers many queries, and only the caller knows which solve's verdict
 // is being certified. ProofBytes(true) appends the terminating "0" for
 // a solve that returned Unsat.
 //
-// Every hook is a nil-check on Solver.proof, mirroring RecordOriginal
-// and CollectGlue: with logging off the hot path does no work and no
-// allocation.
+// Every hook is a nil-check on Solver.proof, mirroring RecordOriginal:
+// with logging off the hot path does no work and no allocation.
 
 type proofLog struct {
 	buf bytes.Buffer
@@ -80,10 +74,4 @@ func (p *proofLog) add(lits []Lit) {
 func (p *proofLog) del(lits []Lit) {
 	p.buf.WriteString("d ")
 	p.writeLits(lits)
-}
-
-func (p *proofLog) comment(c string) {
-	p.buf.WriteString("c ")
-	p.buf.WriteString(c)
-	p.buf.WriteByte('\n')
 }

@@ -81,8 +81,7 @@ const (
 	hdrDeleted   = 1 << 1
 	hdrProtected = 1 << 2 // survives one reduceDB round (recently useful)
 	hdrReloc     = 1 << 3 // moved by arena GC; next word is the new cref
-	hdrImported  = 1 << 4 // adopted from an Exchange pool, not learned here
-	hdrSizeShift = 5
+	hdrSizeShift = 4
 )
 
 // reason encoding: a cref, or a binary implication (the implying clause's
@@ -186,20 +185,6 @@ type Solver struct {
 	// MaxConflicts, when > 0, bounds total conflicts per Solve call.
 	MaxConflicts int64
 
-	// CollectGlue, when set, stages every glue clause (LBD ≤ 2, length ≤
-	// maxExportLen) this solver learns into a buffer that DrainGlue hands
-	// to an Exchange pool. Off by default: staging copies each clause.
-	CollectGlue bool
-	glueBuf     [][]Lit
-	// ImportHook, when non-nil, is polled at the start of each Solve and at
-	// every restart boundary; the clauses it returns are injected at the
-	// root level as learnt clauses. The hook must only supply clauses that
-	// are implied by this solver's input formula (see Exchange).
-	ImportHook  func() [][]Lit
-	importedN   int64
-	importHitsN int64
-	exportedN   int64
-
 	// proof, when non-nil (StartProof), logs every clause-database
 	// change in DRAT format; see proof.go. Off by default: the hot path
 	// must stay allocation-free.
@@ -267,13 +252,6 @@ type Metrics struct {
 	// LBDHist buckets learnt clauses by LBD at learning time: index i holds
 	// LBD i+1 for i < 7, and the last bucket holds LBD ≥ 8.
 	LBDHist [8]int64 `json:"lbd_hist"`
-	// ExportedClauses counts glue clauses this solver drained for an
-	// Exchange pool; ImportedClauses counts clauses adopted from a pool;
-	// ImportHits counts the times an imported clause participated in
-	// conflict analysis — the proof work the exchange actually saved.
-	ExportedClauses int64 `json:"exported_clauses"`
-	ImportedClauses int64 `json:"imported_clauses"`
-	ImportHits      int64 `json:"import_hits"`
 }
 
 // Add accumulates another snapshot into m (for aggregating across the
@@ -291,9 +269,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.RetainedLearnts += o.RetainedLearnts
 	m.BinPropagations += o.BinPropagations
 	m.GlueLearnts += o.GlueLearnts
-	m.ExportedClauses += o.ExportedClauses
-	m.ImportedClauses += o.ImportedClauses
-	m.ImportHits += o.ImportHits
 	for i := range m.LBDHist {
 		m.LBDHist[i] += o.LBDHist[i]
 	}
@@ -316,9 +291,6 @@ func (m Metrics) Sub(o Metrics) Metrics {
 		RetainedLearnts: m.RetainedLearnts - o.RetainedLearnts,
 		BinPropagations: m.BinPropagations - o.BinPropagations,
 		GlueLearnts:     m.GlueLearnts - o.GlueLearnts,
-		ExportedClauses: m.ExportedClauses - o.ExportedClauses,
-		ImportedClauses: m.ImportedClauses - o.ImportedClauses,
-		ImportHits:      m.ImportHits - o.ImportHits,
 	}
 	for i := range out.LBDHist {
 		out.LBDHist[i] = m.LBDHist[i] - o.LBDHist[i]
@@ -342,9 +314,6 @@ func (s *Solver) Metrics() Metrics {
 		BinPropagations: s.binPropsN,
 		GlueLearnts:     s.glueN,
 		LBDHist:         s.lbdHist,
-		ExportedClauses: s.exportedN,
-		ImportedClauses: s.importedN,
-		ImportHits:      s.importHitsN,
 	}
 }
 
@@ -691,9 +660,6 @@ func (s *Solver) claUsed(c cref) {
 	if s.arena[c]&hdrLearnt == 0 {
 		return
 	}
-	if s.arena[c]&hdrImported != 0 {
-		s.importHitsN++
-	}
 	s.bumpClauseAct(c)
 	lbd := s.computeLBD(s.claLits(c))
 	if lbd < s.claLBD(c) {
@@ -849,9 +815,6 @@ func (s *Solver) record(learned []Lit, lbd int) {
 	s.lbdHist[b-1]++
 	if lbd <= 2 {
 		s.glueN++
-		if s.CollectGlue && len(learned) <= maxExportLen {
-			s.glueBuf = append(s.glueBuf, append([]Lit(nil), learned...))
-		}
 	}
 	if s.proof != nil {
 		s.proof.add(learned)
@@ -872,120 +835,6 @@ func (s *Solver) record(learned []Lit, lbd int) {
 		s.bumpClauseAct(c)
 		s.enqueue(learned[0], c)
 	}
-}
-
-// maxExportLen bounds the length of clauses staged for exchange. Glue
-// status is about decision levels, not length, so a glue clause can still
-// be long; shipping only short ones keeps pool traffic and import cost low.
-const maxExportLen = 8
-
-// DrainGlue returns the glue clauses staged since the previous drain,
-// transferring ownership to the caller (typically to Exchange.Publish).
-// The staging buffer is reset.
-func (s *Solver) DrainGlue() [][]Lit {
-	b := s.glueBuf
-	s.glueBuf = nil
-	s.exportedN += int64(len(b))
-	return b
-}
-
-// importPending polls ImportHook and injects the received clauses at the
-// root level. Returns false when an import (with propagation) makes the
-// instance permanently unsatisfiable.
-func (s *Solver) importPending() bool {
-	if s.ImportHook == nil {
-		return true
-	}
-	batch := s.ImportHook()
-	if len(batch) == 0 {
-		return true
-	}
-	s.backtrackTo(0)
-	for _, lits := range batch {
-		if !s.importClause(lits) {
-			s.unsatForce = true
-			return false
-		}
-	}
-	if s.propagate() != crefUndef {
-		s.unsatForce = true
-		return false
-	}
-	return true
-}
-
-// importClause adopts one exchanged clause as a learnt clause. The input
-// slice is shared with other importers and is never mutated; literals are
-// copied through the AddClause scratch buffer. Must run at decision level
-// 0. Returns false on a top-level contradiction.
-func (s *Solver) importClause(lits []Lit) bool {
-	ls := append(s.addBuf[:0], lits...)
-	s.addBuf = ls[:0]
-	insertionSortLits(ls)
-	out := ls[:0]
-	var prev Lit = -1
-	for _, l := range ls {
-		if l.Var() >= len(s.assign) {
-			// Mentions a variable this solver has not allocated; the
-			// Exchange's maxVar filter should prevent this — skip defensively.
-			return true
-		}
-		if l == prev {
-			continue
-		}
-		if prev >= 0 && l == prev.Not() {
-			return true // tautology
-		}
-		switch s.value(l) {
-		case lTrue:
-			return true // already satisfied at level 0
-		case lFalse:
-			continue
-		}
-		out = append(out, l)
-		prev = l
-	}
-	s.importedN++
-	if s.proof != nil {
-		// Log the original literals: level-0 simplification only drops
-		// falsified or duplicate literals, and the checker attributes the
-		// clause to the exchange via the comment.
-		s.proof.comment("import")
-		s.proof.add(lits)
-	}
-	switch len(out) {
-	case 0:
-		return false
-	case 1:
-		return s.enqueue(out[0], reasonNone)
-	case 2:
-		// Imported binaries join the implication lists permanently, like
-		// learnt binaries.
-		s.addBinWatch(out[0], out[1])
-		s.binLearntN++
-		return true
-	}
-	c := s.allocClause(out, true, 2)
-	s.arena[c] |= hdrImported
-	s.learnts = append(s.learnts, c)
-	s.watchClause(c)
-	return true
-}
-
-// Diversify perturbs the solver's VSIDS activities and saved phases with a
-// deterministic pseudorandom stream derived from seed, so portfolio clones
-// of the same encoding explore the search space in different orders. Call
-// after encoding and before the first Solve.
-func (s *Solver) Diversify(seed int64) {
-	x := uint64(seed)*0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019
-	for v := range s.assign {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		s.activity[v] = float64(x&0x3FF) * 1e-7
-		s.phase[v] = x&0x400 != 0
-	}
-	s.order.rebuild(&s.activity)
 }
 
 // reduceDB trims the long learnt database with a glue-tiered policy:
@@ -1123,9 +972,6 @@ func (s *Solver) solve(assumptions ...Lit) Status {
 		s.unsatForce = true
 		return Unsat
 	}
-	if !s.importPending() {
-		return Unsat
-	}
 
 	var restarts int64 = 1
 	conflictBudget := luby(restarts) * 100
@@ -1192,12 +1038,6 @@ func (s *Solver) solve(assumptions ...Lit) Status {
 			s.restartsN++
 			conflictBudget = luby(restarts) * 100
 			s.backtrackTo(s.assumptionLevel(assumptions))
-			// Restart boundaries are the import points: the trail is short,
-			// so injecting root-level clauses here is cheap, and the fresh
-			// descent gets to propagate them from the start.
-			if !s.importPending() {
-				return Unsat
-			}
 		}
 		if int64(len(s.learnts)) > maxLearnts {
 			s.reduceDB()
@@ -1294,14 +1134,6 @@ func (h *heap) update(v int, act *[]float64) {
 		return
 	}
 	h.up(int(h.pos[v]), act)
-}
-
-// rebuild restores the heap property after arbitrary activity rewrites
-// (update only handles increases; Diversify can move entries both ways).
-func (h *heap) rebuild(act *[]float64) {
-	for i := len(h.data)/2 - 1; i >= 0; i-- {
-		h.down(i, act)
-	}
 }
 
 func (h *heap) up(i int, act *[]float64) {

@@ -34,12 +34,7 @@ type aggregates struct {
 	solver          core.SolverStats
 
 	laddersRun         int64
-	refutersRun        int64
-	skeletonsRefuted   int64
 	skeletonsDominated int64
-	exchangePublished  int64
-	exchangeCollected  int64
-	exchangeDropped    int64
 }
 
 func newAggregates() *aggregates {
@@ -59,12 +54,7 @@ func (a *aggregates) record(profile, verdict string, stats *core.Stats) {
 	}
 	a.solver.Add(stats.Solver)
 	a.laddersRun += int64(stats.Portfolio.LaddersRun)
-	a.refutersRun += int64(stats.Portfolio.RefutersRun)
-	a.skeletonsRefuted += int64(stats.Portfolio.SkeletonsRefuted)
 	a.skeletonsDominated += int64(stats.Portfolio.SkeletonsDominated)
-	a.exchangePublished += stats.Portfolio.ExchangePublished
-	a.exchangeCollected += stats.Portfolio.ExchangeCollected
-	a.exchangeDropped += stats.Portfolio.ExchangeDropped
 }
 
 // metricWriter emits the Prometheus text exposition format (0.0.4): one
@@ -142,9 +132,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		profileVerdicts[k] = v
 	}
 	solver := s.agg.solver
-	ladders, refuters := s.agg.laddersRun, s.agg.refutersRun
-	refuted, dominated := s.agg.skeletonsRefuted, s.agg.skeletonsDominated
-	published, collected, dropped := s.agg.exchangePublished, s.agg.exchangeCollected, s.agg.exchangeDropped
+	ladders, dominated := s.agg.laddersRun, s.agg.skeletonsDominated
 	s.agg.mu.Unlock()
 
 	m.family("hawkd_compile_verdicts_total", "counter", "Finished compilations by verdict.")
@@ -183,18 +171,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 
 	m.family("hawkd_portfolio_ladders_run_total", "counter", "Skeleton ladders started by the portfolio scheduler.")
 	m.sample("hawkd_portfolio_ladders_run_total", ladders)
-	m.family("hawkd_portfolio_refuters_run_total", "counter", "Refuter probes launched by idle portfolio workers.")
-	m.sample("hawkd_portfolio_refuters_run_total", refuters)
-	m.family("hawkd_portfolio_skeletons_refuted_total", "counter", "Skeletons killed by a cap-level UNSAT proof.")
-	m.sample("hawkd_portfolio_skeletons_refuted_total", refuted)
 	m.family("hawkd_portfolio_skeletons_dominated_total", "counter", "Skeletons dropped by the provably-cheapest bound.")
 	m.sample("hawkd_portfolio_skeletons_dominated_total", dominated)
-	m.family("hawkd_exchange_published_total", "counter", "Glue clauses published to portfolio exchange pools.")
-	m.sample("hawkd_exchange_published_total", published)
-	m.family("hawkd_exchange_collected_total", "counter", "Clauses handed to exchange consumers.")
-	m.sample("hawkd_exchange_collected_total", collected)
-	m.family("hawkd_exchange_dropped_total", "counter", "Exchange publishes refused at pool capacity.")
-	m.sample("hawkd_exchange_dropped_total", dropped)
 
 	m.family("hawkd_cache_key_fallback_total", "counter", "Cache keys derived from fallback text (pretty-printed or raw source) because canonicalization failed.")
 	m.sample("hawkd_cache_key_fallback_total", s.cacheKeyFallback.value())
@@ -205,15 +183,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 		m.labeled("hawkd_memo_tier_hits_total", "tier", "1", ms.T1Hits)
 		m.labeled("hawkd_memo_tier_hits_total", "tier", "1_alias", ms.T1AliasHits)
 		m.labeled("hawkd_memo_tier_hits_total", "tier", "2", ms.T2Hits)
-		m.labeled("hawkd_memo_tier_hits_total", "tier", "3", ms.T3Hits)
 		m.family("hawkd_memo_tier_misses_total", "counter", "Cross-compile memo misses by tier.")
 		m.labeled("hawkd_memo_tier_misses_total", "tier", "1", ms.T1Misses)
 		m.labeled("hawkd_memo_tier_misses_total", "tier", "2", ms.T2Misses)
-		m.labeled("hawkd_memo_tier_misses_total", "tier", "3", ms.T3Misses)
 		m.family("hawkd_memo_tier_stores_total", "counter", "Cross-compile memo entries stored by tier.")
 		m.labeled("hawkd_memo_tier_stores_total", "tier", "1", ms.T1Stores)
 		m.labeled("hawkd_memo_tier_stores_total", "tier", "2", ms.T2Stores)
-		m.labeled("hawkd_memo_tier_stores_total", "tier", "3", ms.T3Stores)
 		m.family("hawkd_memo_bytes_read_total", "counter", "Bytes read from the memo directory.")
 		m.sample("hawkd_memo_bytes_read_total", ms.BytesRead)
 		m.family("hawkd_memo_bytes_written_total", "counter", "Bytes written to the memo directory.")

@@ -395,10 +395,18 @@ func TestStatsEndpoint(t *testing.T) {
 		`hawkd_compile_verdicts_total{verdict="ok"} 1`,
 		"# TYPE hawkd_solver_conflicts_total counter",
 		"hawkd_portfolio_ladders_run_total",
-		"hawkd_exchange_published_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/stats missing %q", want)
+		}
+	}
+	for _, gone := range []string{
+		"hawkd_portfolio_refuters_run_total",
+		"hawkd_portfolio_skeletons_refuted_total",
+		"hawkd_exchange_",
+	} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/stats still exports %q", gone)
 		}
 	}
 }
@@ -815,5 +823,8 @@ func TestServeWithMemoServesTierCounters(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, buf.String())
 		}
+	}
+	if strings.Contains(buf.String(), `tier="3"`) {
+		t.Errorf("metrics still carry a tier-3 label:\n%s", buf.String())
 	}
 }

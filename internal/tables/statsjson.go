@@ -50,7 +50,6 @@ type MemoRunStats struct {
 	T1Misses    int64 `json:"t1_misses"`
 	T2Hits      int64 `json:"t2_hits"`
 	T2Misses    int64 `json:"t2_misses"`
-	T3Hits      int64 `json:"t3_hits"`
 	BytesRead   int64 `json:"bytes_read"`
 	BytesWrit   int64 `json:"bytes_written"`
 	CanonMS     int64 `json:"canon_ms"`
@@ -60,7 +59,7 @@ type MemoRunStats struct {
 func memoDelta(d memo.Stats) *MemoRunStats {
 	return &MemoRunStats{
 		T1Hits: d.T1Hits, T1AliasHits: d.T1AliasHits, T1Misses: d.T1Misses,
-		T2Hits: d.T2Hits, T2Misses: d.T2Misses, T3Hits: d.T3Hits,
+		T2Hits: d.T2Hits, T2Misses: d.T2Misses,
 		BytesRead: d.BytesRead, BytesWrit: d.BytesWritten,
 		CanonMS: d.CanonNanos / 1e6,
 	}

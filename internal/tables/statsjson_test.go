@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -83,6 +84,24 @@ func TestRunStatsRoundTrip(t *testing.T) {
 func TestDecodeRunStatsRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeRunStats([]byte(`[{"program":"x","bogus_counter":1}]`)); err == nil {
 		t.Error("unknown field must be rejected, not silently dropped")
+	}
+}
+
+// TestCheckedInBaselineDecodes keeps BENCH_baseline.json readable by the
+// current schema: hawkab and the bench-trajectory CI job decode it with
+// DecodeRunStats, which rejects unknown fields, so a field removed from
+// the stats must also be removed from the baseline.
+func TestCheckedInBaselineDecodes(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := DecodeRunStats(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 60 {
+		t.Errorf("baseline holds %d records, want 60", len(runs))
 	}
 }
 

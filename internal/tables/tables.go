@@ -86,8 +86,8 @@ type Config struct {
 	// both the Table 3 protocol suites and the deep-encapsulation corpus).
 	Filter string
 	// Workers is passed through to core.Options.Workers: how many portfolio
-	// goroutines each compilation runs its skeleton ladders and refuter
-	// probes on. Zero means GOMAXPROCS; 1 runs each compilation on the
+	// goroutines each compilation runs its skeleton ladders on. Zero means
+	// GOMAXPROCS; 1 runs each compilation on the
 	// harness's own goroutine. The harness itself runs benchmarks one at a
 	// time — parallelism lives inside the compile, where the portfolio
 	// scheduler guarantees identical verdicts, entry tables, and stage
