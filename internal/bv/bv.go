@@ -33,8 +33,7 @@ func (b BV) Width() int { return len(b.Bits) }
 // Gate construction is hash-consed: structurally identical And/Xor/Ite
 // gates are built once and shared, so repeated subcircuits (the CEGIS
 // loop re-encodes near-identical counterexample circuits constantly) stop
-// emitting duplicate CNF. DisableConsing turns the sharing off for A/B
-// measurement.
+// emitting duplicate CNF.
 type Solver struct {
 	SAT *sat.Solver
 
@@ -44,7 +43,6 @@ type Solver struct {
 	xorCache map[[2]Lit]Lit
 	muxCache map[[3]Lit]Lit
 
-	nocons   bool
 	gates    int64 // Tseitin gates actually allocated (cache misses)
 	consHits int64 // gate constructions answered from the structural cache
 }
@@ -87,12 +85,6 @@ func newSolver(record bool) *Solver {
 	s.SAT.AddClause(s.tru)
 	return s
 }
-
-// DisableConsing turns off the structural gate caches (constant folding
-// stays on), so every And/Xor/Ite call emits fresh CNF. Only the A/B
-// tests and ablation benches use it: it exists to measure what the
-// hash-consed layer saves.
-func (s *Solver) DisableConsing() { s.nocons = true }
 
 // True and False return the constant literals.
 func (s *Solver) True() Lit  { return s.tru }
@@ -164,7 +156,7 @@ func (s *Solver) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	if g, ok := s.andCache[[2]Lit{a, b}]; ok && !s.nocons {
+	if g, ok := s.andCache[[2]Lit{a, b}]; ok {
 		s.consHits++
 		return g
 	}
@@ -173,9 +165,7 @@ func (s *Solver) And(a, b Lit) Lit {
 	s.SAT.AddBinary(g.Not(), a)
 	s.SAT.AddBinary(g.Not(), b)
 	s.SAT.AddClause(g, a.Not(), b.Not())
-	if !s.nocons {
-		s.andCache[[2]Lit{a, b}] = g
-	}
+	s.andCache[[2]Lit{a, b}] = g
 	return g
 }
 
@@ -203,7 +193,7 @@ func (s *Solver) Xor(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	if g, ok := s.xorCache[[2]Lit{a, b}]; ok && !s.nocons {
+	if g, ok := s.xorCache[[2]Lit{a, b}]; ok {
 		s.consHits++
 		return g
 	}
@@ -213,9 +203,7 @@ func (s *Solver) Xor(a, b Lit) Lit {
 	s.SAT.AddClause(g.Not(), a.Not(), b.Not())
 	s.SAT.AddClause(g, a.Not(), b)
 	s.SAT.AddClause(g, a, b.Not())
-	if !s.nocons {
-		s.xorCache[[2]Lit{a, b}] = g
-	}
+	s.xorCache[[2]Lit{a, b}] = g
 	return g
 }
 
@@ -224,15 +212,6 @@ func (s *Solver) Iff(a, b Lit) Lit { return s.Xor(a, b).Not() }
 
 // Implies returns a → b.
 func (s *Solver) Implies(a, b Lit) Lit { return s.Or(a.Not(), b) }
-
-// AndN folds And over any number of formulas (empty = true).
-func (s *Solver) AndN(ls ...Lit) Lit {
-	g := s.True()
-	for _, l := range ls {
-		g = s.And(g, l)
-	}
-	return g
-}
 
 // OrN folds Or over any number of formulas (empty = false).
 func (s *Solver) OrN(ls ...Lit) Lit {
@@ -272,7 +251,7 @@ func (s *Solver) MuxLit(c, a, b Lit) Lit {
 	case a == b.Not():
 		return s.Iff(c, a)
 	}
-	if g, ok := s.muxCache[[3]Lit{c, a, b}]; ok && !s.nocons {
+	if g, ok := s.muxCache[[3]Lit{c, a, b}]; ok {
 		s.consHits++
 		return g
 	}
@@ -286,20 +265,8 @@ func (s *Solver) MuxLit(c, a, b Lit) Lit {
 	// without deciding c.
 	s.SAT.AddClause(g, a.Not(), b.Not())
 	s.SAT.AddClause(g.Not(), a, b)
-	if !s.nocons {
-		s.muxCache[[3]Lit{c, a, b}] = g
-	}
+	s.muxCache[[3]Lit{c, a, b}] = g
 	return g
-}
-
-// BVAnd computes the bitwise conjunction of equal-width vectors.
-func (s *Solver) BVAnd(a, b BV) BV {
-	s.sameWidth(a, b, "BVAnd")
-	out := BV{Bits: make([]Lit, a.Width())}
-	for i := range out.Bits {
-		out.Bits[i] = s.And(a.Bits[i], b.Bits[i])
-	}
-	return out
 }
 
 // BVOr computes the bitwise disjunction of equal-width vectors.
@@ -310,30 +277,6 @@ func (s *Solver) BVOr(a, b BV) BV {
 		out.Bits[i] = s.Or(a.Bits[i], b.Bits[i])
 	}
 	return out
-}
-
-// BVNot computes the bitwise negation.
-func (s *Solver) BVNot(a BV) BV {
-	out := BV{Bits: make([]Lit, a.Width())}
-	for i := range out.Bits {
-		out.Bits[i] = a.Bits[i].Not()
-	}
-	return out
-}
-
-// Eq returns the formula a == b for equal-width vectors.
-func (s *Solver) Eq(a, b BV) Lit {
-	s.sameWidth(a, b, "Eq")
-	g := s.True()
-	for i := range a.Bits {
-		g = s.And(g, s.Iff(a.Bits[i], b.Bits[i]))
-	}
-	return g
-}
-
-// EqConst returns the formula a == v.
-func (s *Solver) EqConst(a BV, v uint64) Lit {
-	return s.Eq(a, s.Const(v, a.Width()))
 }
 
 // MaskedEq returns the TCAM match formula key & mask == value & mask. This
@@ -347,16 +290,6 @@ func (s *Solver) MaskedEq(key, mask, value BV) Lit {
 		g = s.And(g, s.Implies(mask.Bits[i], s.Iff(key.Bits[i], value.Bits[i])))
 	}
 	return g
-}
-
-// Ite returns c ? a : b over equal-width vectors.
-func (s *Solver) Ite(c Lit, a, b BV) BV {
-	s.sameWidth(a, b, "Ite")
-	out := BV{Bits: make([]Lit, a.Width())}
-	for i := range out.Bits {
-		out.Bits[i] = s.MuxLit(c, a.Bits[i], b.Bits[i])
-	}
-	return out
 }
 
 // SelectBV returns Σ sel[i]·opts[i] assuming sel is one-hot. All options
@@ -379,19 +312,6 @@ func (s *Solver) SelectBV(sel []Lit, opts []BV) BV {
 	return out
 }
 
-// SelectLit returns Σ sel[i]·opts[i] for boolean options under a one-hot
-// selector.
-func (s *Solver) SelectLit(sel []Lit, opts []Lit) Lit {
-	if len(sel) != len(opts) {
-		panic("bv: SelectLit arity mismatch")
-	}
-	g := s.False()
-	for i := range sel {
-		g = s.Or(g, s.And(sel[i], opts[i]))
-	}
-	return g
-}
-
 // AtMostOne asserts that at most one of the literals is true (pairwise
 // encoding; selector vectors here are small).
 func (s *Solver) AtMostOne(ls []Lit) {
@@ -408,55 +328,12 @@ func (s *Solver) ExactlyOne(ls []Lit) {
 	s.AtMostOne(ls)
 }
 
-// AtMostK asserts Σ ls ≤ k with a sequential-counter encoding, used for
-// hardware cardinality limits such as key-width budgets (Figures 10, 11).
-func (s *Solver) AtMostK(ls []Lit, k int) {
-	if k < 0 {
-		panic("bv: AtMostK negative bound")
-	}
-	if k >= len(ls) {
-		return
-	}
-	if k == 0 {
-		for _, l := range ls {
-			s.SAT.AddClause(l.Not())
-		}
-		return
-	}
-	// reg[i][j] ⇔ at least j+1 of ls[0..i] are true.
-	n := len(ls)
-	reg := make([][]Lit, n)
-	for i := 0; i < n-1; i++ {
-		reg[i] = make([]Lit, k)
-		for j := range reg[i] {
-			reg[i][j] = s.NewLit()
-		}
-	}
-	s.SAT.AddBinary(ls[0].Not(), reg[0][0])
-	for j := 1; j < k; j++ {
-		s.SAT.AddClause(reg[0][j].Not())
-	}
-	for i := 1; i < n-1; i++ {
-		s.SAT.AddBinary(ls[i].Not(), reg[i][0])
-		s.SAT.AddBinary(reg[i-1][0].Not(), reg[i][0])
-		for j := 1; j < k; j++ {
-			s.SAT.AddClause(ls[i].Not(), reg[i-1][j-1].Not(), reg[i][j])
-			s.SAT.AddBinary(reg[i-1][j].Not(), reg[i][j])
-		}
-		s.SAT.AddBinary(ls[i].Not(), reg[i-1][k-1].Not())
-	}
-	if n >= 2 {
-		s.SAT.AddBinary(ls[n-1].Not(), reg[n-2][k-1].Not())
-	}
-}
-
 // CountLadder builds a full sequential-counter over ls and returns its
 // threshold literals: th[j] is implied whenever at least j+1 of ls are
-// true (one-directional, like AtMostK's registers). Solving under the
-// assumption th[k].Not() therefore enforces Σ ls ≤ k without committing
-// the solver to any particular bound — the incremental alternative to
-// AtMostK, letting one encoded instance serve a whole budget ladder of
-// queries by swapping assumptions instead of re-encoding.
+// true (one-directional). Solving under the assumption th[k].Not()
+// therefore enforces Σ ls ≤ k without committing the solver to any
+// particular bound, letting one encoded instance serve a whole budget
+// ladder of queries by swapping assumptions instead of re-encoding.
 func (s *Solver) CountLadder(ls []Lit) []Lit {
 	n := len(ls)
 	if n == 0 {
@@ -481,9 +358,6 @@ func (s *Solver) CountLadder(ls []Lit) []Lit {
 
 // Assert requires the formula to hold.
 func (s *Solver) Assert(l Lit) { s.SAT.AddClause(l) }
-
-// AssertOr requires at least one of the formulas to hold.
-func (s *Solver) AssertOr(ls ...Lit) { s.SAT.AddClause(ls...) }
 
 // Solve runs the SAT search (optionally under assumptions).
 func (s *Solver) Solve(assumptions ...Lit) sat.Status {

@@ -136,7 +136,7 @@ func TestBVConstAndValue(t *testing.T) {
 func TestEqAndExtractConcat(t *testing.T) {
 	s := New()
 	x := s.NewBV(8)
-	s.Assert(s.EqConst(x, 0xA5))
+	s.Assert(s.MaskedEq(x, s.Const(0xFF, 8), s.Const(0xA5, 8)))
 	if s.Solve() != sat.Sat {
 		t.Fatal("unsat")
 	}
@@ -158,17 +158,10 @@ func TestBitwiseOpsAgainstGo(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		av, bvv := rng.Uint64()&0xFF, rng.Uint64()&0xFF
 		s := New()
-		a, b := s.Const(av, 8), s.Const(bvv, 8)
-		and, or, not := s.BVAnd(a, b), s.BVOr(a, b), s.BVNot(a)
+		or := s.BVOr(s.Const(av, 8), s.Const(bvv, 8))
 		s.Solve()
-		if s.BVValue(and) != av&bvv {
-			t.Errorf("and: %x", s.BVValue(and))
-		}
 		if s.BVValue(or) != av|bvv {
 			t.Errorf("or: %x", s.BVValue(or))
-		}
-		if s.BVValue(not) != ^av&0xFF {
-			t.Errorf("not: %x", s.BVValue(not))
 		}
 	}
 }
@@ -217,21 +210,35 @@ func TestMaskedEqSynthesizesMergingMask(t *testing.T) {
 
 func TestIteAndMux(t *testing.T) {
 	s := New()
-	c := s.NewLit()
-	x := s.Ite(c, s.Const(0xF, 4), s.Const(0x3, 4))
-	s.Assert(c)
-	s.Solve()
-	if s.BVValue(x) != 0xF {
-		t.Error("ite true branch")
+	c, a, b := s.NewLit(), s.NewLit(), s.NewLit()
+	g := s.MuxLit(c, a, b)
+	if s.MuxLit(c.Not(), b, a) != g {
+		t.Error("ITE(¬c,b,a) must share the ITE(c,a,b) gate")
 	}
-	s2 := New()
-	c2 := s2.NewLit()
-	x2 := s2.Ite(c2, s2.Const(0xF, 4), s2.Const(0x3, 4))
-	s2.Assert(c2.Not())
-	s2.Solve()
-	if s2.BVValue(x2) != 0x3 {
-		t.Error("ite false branch")
+	for _, cv := range []bool{true, false} {
+		for _, av := range []bool{true, false} {
+			for _, bvv := range []bool{true, false} {
+				if s.Solve(pin(c, cv), pin(a, av), pin(b, bvv)) != sat.Sat {
+					t.Fatal("unsat")
+				}
+				want := bvv
+				if cv {
+					want = av
+				}
+				if got := s.Value(g); got != want {
+					t.Errorf("mux(%v,%v,%v)=%v want %v", cv, av, bvv, got, want)
+				}
+			}
+		}
 	}
+}
+
+// pin returns the literal that forces l to v.
+func pin(l Lit, v bool) Lit {
+	if v {
+		return l
+	}
+	return l.Not()
 }
 
 func TestSelectBVOneHot(t *testing.T) {
@@ -249,20 +256,6 @@ func TestSelectBVOneHot(t *testing.T) {
 	}
 	if s.Value(sel[0]) || s.Value(sel[1]) {
 		t.Error("one-hot violated")
-	}
-}
-
-func TestSelectLit(t *testing.T) {
-	s := New()
-	sel := []Lit{s.NewLit(), s.NewLit()}
-	s.ExactlyOne(sel)
-	out := s.SelectLit(sel, []Lit{s.True(), s.False()})
-	s.Assert(out.Not())
-	if s.Solve() != sat.Sat {
-		t.Fatal("unsat")
-	}
-	if !s.Value(sel[1]) {
-		t.Error("must pick the false option")
 	}
 }
 
@@ -292,41 +285,6 @@ func TestExactlyOne(t *testing.T) {
 	}
 }
 
-func TestAtMostKExhaustive(t *testing.T) {
-	// For n ≤ 5 and every k, check AtMostK agrees with popcount by
-	// trying all forced assignments.
-	for n := 1; n <= 5; n++ {
-		for k := 0; k <= n; k++ {
-			for m := 0; m < 1<<uint(n); m++ {
-				s := New()
-				ls := make([]Lit, n)
-				for i := range ls {
-					ls[i] = s.NewLit()
-				}
-				s.AtMostK(ls, k)
-				var assumptions []Lit
-				pop := 0
-				for i := range ls {
-					if m>>uint(i)&1 == 1 {
-						assumptions = append(assumptions, ls[i])
-						pop++
-					} else {
-						assumptions = append(assumptions, ls[i].Not())
-					}
-				}
-				got := s.Solve(assumptions...)
-				want := sat.Sat
-				if pop > k {
-					want = sat.Unsat
-				}
-				if got != want {
-					t.Fatalf("AtMostK(n=%d,k=%d,m=%b): %v want %v", n, k, m, got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestWidthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -334,21 +292,20 @@ func TestWidthMismatchPanics(t *testing.T) {
 		}
 	}()
 	s := New()
-	s.Eq(s.NewBV(3), s.NewBV(4))
+	s.MaskedEq(s.NewBV(3), s.NewBV(4), s.NewBV(3))
 }
 
-func TestAndNOrN(t *testing.T) {
+func TestOrN(t *testing.T) {
 	s := New()
-	a, b, c := s.NewLit(), s.NewLit(), s.NewLit()
-	s.Assert(s.AndN(a, b, c))
-	s.Assert(s.OrN())
-	if s.Solve() != sat.Unsat {
-		t.Error("empty OrN is false; conjunction with it must be unsat")
+	if s.OrN() != s.False() {
+		t.Error("empty OrN must fold to false")
 	}
-	s2 := New()
-	x, y := s2.NewLit(), s2.NewLit()
-	s2.Assert(s2.AndN(x, y))
-	if s2.Solve() != sat.Sat || !s2.Value(x) || !s2.Value(y) {
-		t.Error("AndN must force all true")
+	x, y, z := s.NewLit(), s.NewLit(), s.NewLit()
+	s.Assert(s.OrN(x, y, z))
+	if s.Solve(x.Not(), y.Not(), z.Not()) != sat.Unsat {
+		t.Error("OrN with every operand false must be unsat")
+	}
+	if s.Solve(x.Not(), z.Not()) != sat.Sat || !s.Value(y) {
+		t.Error("OrN must force its one remaining operand true")
 	}
 }

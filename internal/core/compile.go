@@ -173,15 +173,6 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 		return minLB > 0 && objective.Cost(r.Resources) <= minLB
 	}
 
-	// Cross-compile memo keys (tier 2: skeleton-UNSAT facts). Computed
-	// once per compile; nil when no memo is attached or the spec resists
-	// canonicalization, in which case the portfolio runs exactly as it
-	// would without a memo.
-	var memoK []string
-	if opts.Memo != nil {
-		memoK = computeMemoKeys(effSynth, synthSks, profile, opts)
-	}
-
 	// §6.7 as a bounded portfolio: skeletons form a work queue drained by
 	// the resolved worker count, each worker running one skeleton's ladder
 	// at a time (see portfolio.go for why every scheduler action is
@@ -200,7 +191,6 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 		profile: profile, opts: opts,
 		workers:          workers,
 		provablyCheapest: provablyCheapest,
-		memo:             opts.Memo, keys: memoK,
 	})
 
 	var best *Result
@@ -405,14 +395,6 @@ type skeletonEngine struct {
 	origSk, synthSk         *skeleton
 	profile                 hw.Profile
 	opts                    Options
-
-	// capUnsat is set when the ladder exhausted every rung and the cap rung
-	// itself climbed via a genuine solver UNSAT: the ensuing ErrNoSolution
-	// is then a seed-independent fact about (spec, skeleton, cap) that the
-	// tier-2 memo may record. A cap rung rejected by device validation
-	// leaves it false — that verdict depends on which model the solver
-	// happened to find.
-	capUnsat bool
 }
 
 // budgetEnv is the mutable CEGIS environment of one ladder: the verifier
@@ -502,13 +484,6 @@ func (eng *skeletonEngine) runLadder(ctx context.Context) (*Result, SolverStats,
 		}
 		res.Stats = st
 		return res, st.Solver, nil
-	}
-	// Every rung climbed. When the cap rung ended in a genuine solver UNSAT
-	// (no table at the cap exists) rather than in a device-validation
-	// failure of a found model, the ErrNoSolution below is a
-	// seed-independent fact the tier-2 memo may record.
-	if n := len(st.Iterations); n > 0 && st.Iterations[n-1].Status == sat.Unsat.String() {
-		eng.capUnsat = true
 	}
 	st.Solver.Add(solverSnapshot(sy.s))
 	return nil, st.Solver, ErrNoSolution

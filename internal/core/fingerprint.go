@@ -18,9 +18,6 @@ import "fmt"
 //   - Timeout: a deadline decides whether a result arrives, never which
 //     result arrives. Timed-out compilations must not be cached at all.
 //   - QuerySink / Seed-independent instrumentation: observation only.
-//   - Memo: the cross-compile memo only replays verdicts it previously
-//     proved (tier 2) — a memoized compile's outcome equals the cold
-//     one's.
 //   - EmitCertificate / LogProofs: certificates and DRAT logs describe
 //     the compilation without steering it — proof logging appends to a
 //     side buffer and never changes a solver decision, and the witness

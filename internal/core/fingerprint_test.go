@@ -19,7 +19,7 @@ func TestOptionsFingerprint(t *testing.T) {
 		"SkipLint": true, "Seed": true,
 	}
 	excluded := map[string]bool{
-		"Workers": true, "Timeout": true, "QuerySink": true, "Memo": true,
+		"Workers": true, "Timeout": true, "QuerySink": true,
 		"EmitCertificate": true, "LogProofs": true,
 	}
 	base := DefaultOptions()
@@ -38,8 +38,6 @@ func TestOptionsFingerprint(t *testing.T) {
 			f.SetInt(f.Int() + 3)
 		case reflect.Func:
 			f.Set(reflect.ValueOf(func(QueryDump) {}))
-		case reflect.Interface:
-			f.Set(reflect.ValueOf(nopMemo{}))
 		default:
 			t.Fatalf("field %s: no mutation for kind %s", name, f.Kind())
 		}
@@ -54,9 +52,3 @@ func TestOptionsFingerprint(t *testing.T) {
 		}
 	}
 }
-
-// nopMemo is a Memo that remembers nothing.
-type nopMemo struct{}
-
-func (nopMemo) SkeletonUnsat(string) bool  { return false }
-func (nopMemo) RecordSkeletonUnsat(string) {}

@@ -96,13 +96,6 @@ type Options struct {
 
 	// Seed makes test-case generation deterministic.
 	Seed int64
-
-	// Memo, when non-nil, connects the compile to a cross-compile memo
-	// cache (internal/memo): the portfolio consults tier-2 skeleton
-	// UNSAT-at-cap facts before starting a ladder. Outcome-invariant and
-	// excluded from Fingerprint: a tier-2 fact only skips a ladder whose
-	// ErrNoSolution verdict is already proven.
-	Memo Memo
 }
 
 // DefaultOptions returns the paper's OPT configuration: every optimization
@@ -173,8 +166,8 @@ type Stats struct {
 	// search effort, not just the winner's.
 	Solver SolverStats `json:"solver"`
 	// Portfolio reports the skeleton scheduler's activity: worker count,
-	// ladders run, and skeletons dropped by the shared best-cost bound or
-	// the memo. Every compile runs the scheduler, at every worker count.
+	// ladders run, and skeletons dropped by the shared best-cost bound.
+	// Every compile runs the scheduler, at every worker count.
 	Portfolio PortfolioStats `json:"portfolio"`
 	// Iterations is the winning budget rung's per-CEGIS-iteration trace.
 	// Solver snapshots within it are cumulative for the skeleton ladder's
@@ -251,11 +244,6 @@ type PortfolioStats struct {
 	// bound — the shared best-cost bound's provably-cheapest rule, the one
 	// domination test that is schedule-invariant (see portfolio.go).
 	SkeletonsDominated int `json:"skeletons_dominated"`
-	// SkeletonsMemoSkipped counts skeletons never started because the
-	// memo cache (Options.Memo) held a tier-2 UNSAT-at-cap fact for their
-	// canonical key — the same ErrNoSolution verdict the ladder itself
-	// would have produced, recalled instead of re-proven.
-	SkeletonsMemoSkipped int `json:"skeletons_memo_skipped,omitempty"`
 }
 
 // QueryDump is one captured SAT query for offline debugging: the DIMACS

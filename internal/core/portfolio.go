@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"parserhawk/internal/hw"
@@ -47,12 +46,6 @@ type portfolioInput struct {
 	opts                    Options
 	workers                 int
 	provablyCheapest        func(*Result) bool
-
-	// memo/keys, when both non-nil, enable the tier-2 memo: keys holds one
-	// key per skeleton (empty string = unkeyable, skip memoization for that
-	// skeleton). See internal/core/memo.go.
-	memo Memo
-	keys []string
 }
 
 type skelPhase int
@@ -94,15 +87,6 @@ func runPortfolio(ctx context.Context, in portfolioInput) ([]attemptOut, Portfol
 	p.stats.Workers = in.workers
 	for i := 0; i < n; i++ {
 		p.ctxs[i], p.cancels[i] = context.WithCancel(ctx)
-		// Tier-2 memo hit: a previous compile proved this skeleton's cap
-		// rung solver-UNSAT, so its ladder can only end in ErrNoSolution —
-		// record that verdict without starting it. The attempt set (and
-		// hence the reduction) is identical to the un-memoized run.
-		if key := p.memoKey(i); key != "" && in.memo.SkeletonUnsat(key) {
-			p.phase[i] = skelDone
-			p.outs[i] = &attemptOut{err: ErrNoSolution}
-			p.stats.SkeletonsMemoSkipped++
-		}
 	}
 
 	var wg sync.WaitGroup
@@ -139,16 +123,6 @@ func runPortfolio(ctx context.Context, in portfolioInput) ([]attemptOut, Portfol
 		}
 	}
 	return outs, p.stats
-}
-
-// memoKey returns skeleton i's tier-2 key, or "" when memoization does not
-// apply (no memo attached, spec unkeyable, or the skeleton itself
-// unkeyable).
-func (p *portfolio) memoKey(i int) string {
-	if p.in.memo == nil || p.in.keys == nil {
-		return ""
-	}
-	return p.in.keys[i]
 }
 
 // work runs ladders until the queue holds no pending skeleton.
@@ -193,10 +167,6 @@ func (p *portfolio) runLadder(idx int) {
 	p.outs[idx] = &attemptOut{res: res, solver: solver, err: err}
 	if err == nil {
 		p.onSuccess(idx, res)
-	} else if errors.Is(err, ErrNoSolution) && eng.capUnsat {
-		if key := p.memoKey(idx); key != "" {
-			p.in.memo.RecordSkeletonUnsat(key)
-		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"parserhawk/internal/core"
 	"parserhawk/internal/hw"
 	"parserhawk/internal/pir"
-	"parserhawk/internal/sim"
 	"parserhawk/internal/tcam"
 )
 
@@ -48,8 +47,9 @@ type t1Entry struct {
 //     only when no certificate was requested (certificate witnesses name
 //     states) and no loop unrolling applies (the bound defaulting is
 //     outside the canonical form). The stored program is renamed
-//     producer->canonical->requester and re-validated by sampling against
-//     the requester's spec before being served; any doubt is a miss.
+//     producer->canonical->requester and served only when
+//     cert.BuildWitness proves it equivalent to the requester's spec; any
+//     doubt is a miss.
 //
 // Store gating: ok verdicts are stored only when an independently
 // self-checked certificate vouches for them (EmitCertificate is forced on
@@ -82,7 +82,6 @@ func (c *Cache) CompileContext(ctx context.Context, spec *pir.Spec, profile hw.P
 
 	inner := opts
 	inner.EmitCertificate = true // store gate; outcome-invariant (see core fingerprint)
-	inner.Memo = c               // tier 2
 	res, err := core.CompileContext(ctx, spec, profile, inner)
 	c.maybeStore(key, specSHA, wit, res, err)
 	if res != nil && !opts.EmitCertificate {
@@ -109,7 +108,7 @@ func (c *Cache) loadT1(key string) *t1Entry {
 		return e
 	}
 	var e t1Entry
-	if c.readEntry("t1", key, &e) {
+	if c.readEntry(key, &e) {
 		c.t1[key] = &e
 		return &e
 	}
@@ -132,8 +131,7 @@ func (c *Cache) replay(e *t1Entry, spec *pir.Spec, wit *pir.Witness, profile hw.
 	switch e.Verdict {
 	case verdictNoSolution:
 		// The no-solution proof search ran against the producer's exact
-		// spec; an alias requester gets a fresh compile (which tier 2 will
-		// largely skip through anyway).
+		// spec; an alias requester gets a fresh compile.
 		if !exact {
 			return nil, nil, false
 		}
@@ -168,11 +166,12 @@ func (c *Cache) replay(e *t1Entry, spec *pir.Spec, wit *pir.Witness, profile hw.
 		if !ok {
 			return nil, nil, false
 		}
-		// The stored certificate vouched for the producer's program; the
-		// rename is mechanical, but re-validate against the requester's
-		// spec anyway — a sampling check is cheap next to a compile, and a
-		// canonicalizer bug then costs a miss, not a wrong program.
-		if rep := sim.Check(spec, renamed, opts.VerifySamples, 16, opts.MaxIterations, opts.Seed); !rep.OK() {
+		// The stored certificate vouched for the producer's program, not
+		// for this rename: prove the renamed program equivalent to the
+		// requester's spec with a fresh witness. The walk is complete, so
+		// a canonicalizer bug or a wrong stored program costs a miss, never
+		// a wrong answer.
+		if _, err := cert.BuildWitness(spec, renamed); err != nil {
 			return nil, nil, false
 		}
 		hit(true)
@@ -276,5 +275,5 @@ func (c *Cache) storeT1(key string, e *t1Entry) {
 	}
 	c.t1[key] = e
 	c.stats.T1Stores++
-	c.writeEntry("t1", key, e)
+	c.writeEntry(key, e)
 }

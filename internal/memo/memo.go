@@ -1,16 +1,18 @@
-// Package memo is ParserHawk's cross-compile memoization layer: a
-// two-tier, optionally disk-backed cache keyed by canonical spec hashes
-// (internal/pir's Canonicalize), so that alias specs — renamed states,
-// reordered rules, shifted field layouts — share cached work.
+// Package memo is ParserHawk's cross-compile memoization layer: an
+// optionally disk-backed cache of whole compiles keyed by canonical spec
+// hashes (internal/pir's Canonicalize), so that alias specs — renamed
+// states, reordered rules, shifted field layouts — share cached work.
 //
-//   - Tier 1 memoizes whole compiles per (canonical spec, profile
-//     fingerprint, options fingerprint). An exact hit (same spec text)
-//     replays the stored program, certificate, and verdict byte-for-byte.
-//     An alias hit (same canonical form, different text) re-names the
-//     stored program's fields through the two isomorphism witnesses and
-//     re-validates it by sampling before serving it.
-//   - Tier 2 memoizes per-skeleton UNSAT-at-cap facts, letting the
-//     portfolio skip entire budget ladders (see core.Memo).
+// One entry memoizes one compile per (canonical spec, profile
+// fingerprint, options fingerprint), its tier 1 (the name the stats and
+// hawkd's metric labels keep). An exact hit (same spec text) replays the
+// stored program, certificate, and verdict byte-for-byte. An alias hit
+// (same canonical form, different text) re-names the stored program's
+// fields through the two isomorphism witnesses and serves it only once
+// internal/cert's bisimulation witness walk proves it equivalent to the
+// requester's spec. Every program the cache serves is thus vouched for by
+// internal/cert: an exact replay by its stored, self-checked certificate,
+// an alias replay by a fresh witness.
 //
 // Disk persistence is content-addressed: one file per entry under the
 // cache directory, written via temp-file + atomic rename, integrity-guarded
@@ -31,8 +33,8 @@ import (
 	"time"
 )
 
-// Stats counts the cache's traffic. Hits are split by kind for tier 1
-// (exact replays vs witness-renamed alias replays); Corrupt counts disk
+// Stats counts the cache's traffic. Hits are split by kind (exact
+// replays vs witness-renamed alias replays); Corrupt counts disk
 // entries rejected by the integrity check; CanonNanos is wall time spent
 // canonicalizing specs for key computation.
 type Stats struct {
@@ -40,9 +42,6 @@ type Stats struct {
 	T1AliasHits int64 `json:"t1_alias_hits"`
 	T1Misses    int64 `json:"t1_misses"`
 	T1Stores    int64 `json:"t1_stores"`
-	T2Hits      int64 `json:"t2_hits"`
-	T2Misses    int64 `json:"t2_misses"`
-	T2Stores    int64 `json:"t2_stores"`
 
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
@@ -55,13 +54,12 @@ func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		T1Hits: s.T1Hits - o.T1Hits, T1AliasHits: s.T1AliasHits - o.T1AliasHits,
 		T1Misses: s.T1Misses - o.T1Misses, T1Stores: s.T1Stores - o.T1Stores,
-		T2Hits: s.T2Hits - o.T2Hits, T2Misses: s.T2Misses - o.T2Misses, T2Stores: s.T2Stores - o.T2Stores,
 		BytesRead: s.BytesRead - o.BytesRead, BytesWritten: s.BytesWritten - o.BytesWritten,
 		Corrupt: s.Corrupt - o.Corrupt, CanonNanos: s.CanonNanos - o.CanonNanos,
 	}
 }
 
-// Cache is the two-tier memo store. The zero value is not usable; a nil
+// Cache is the memo store. The zero value is not usable; a nil
 // *Cache is, and behaves as a disabled cache (every operation is a
 // transparent no-op), so callers can thread an optional cache without
 // guards. All methods are safe for concurrent use.
@@ -70,13 +68,12 @@ type Cache struct {
 
 	mu    sync.Mutex
 	t1    map[string]*t1Entry
-	t2    map[string]bool
 	stats Stats
 }
 
 // Open returns a cache persisted under dir, creating the directory if
 // needed. Open("") returns a memory-only cache (still useful: repeated
-// compiles within one process share both tiers).
+// compiles within one process share it).
 func Open(dir string) (*Cache, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -86,7 +83,6 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{
 		dir: dir,
 		t1:  make(map[string]*t1Entry),
-		t2:  make(map[string]bool),
 	}, nil
 }
 
@@ -107,66 +103,22 @@ func (c *Cache) addCanon(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// --- core.Memo implementation (tier 2) ---
-
-// t2Record is the persisted form of a tier-2 fact; the fact is the file's
-// existence, the body just keeps the format self-describing.
-type t2Record struct {
-	Unsat bool `json:"unsat"`
-}
-
-// SkeletonUnsat reports whether the keyed skeleton was previously proven
-// solver-UNSAT at its ladder cap.
-func (c *Cache) SkeletonUnsat(key string) bool {
-	if c == nil || key == "" {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.t2[key] {
-		c.stats.T2Hits++
-		return true
-	}
-	var rec t2Record
-	if c.readEntry("t2", key, &rec) && rec.Unsat {
-		c.t2[key] = true
-		c.stats.T2Hits++
-		return true
-	}
-	c.stats.T2Misses++
-	return false
-}
-
-// RecordSkeletonUnsat files a proven UNSAT-at-cap fact.
-func (c *Cache) RecordSkeletonUnsat(key string) {
-	if c == nil || key == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.t2[key] {
-		return
-	}
-	c.t2[key] = true
-	c.stats.T2Stores++
-	c.writeEntry("t2", key, t2Record{Unsat: true})
-}
-
 // --- disk layer ---
 
-// entryPath is the content-addressed location of one cache entry.
-func (c *Cache) entryPath(kind, key string) string {
-	return filepath.Join(c.dir, kind+"-"+key+".json")
+// entryPath is the content-addressed location of one cache entry. The
+// "t1-" prefix keeps directories written by earlier versions readable.
+func (c *Cache) entryPath(key string) string {
+	return filepath.Join(c.dir, "t1-"+key+".json")
 }
 
 // readEntry loads and integrity-checks one disk entry into v. Any failure
 // — absent file, truncated write, flipped bit, bad JSON — is a miss; a
 // failure past the existence check also counts as Corrupt. Lock held.
-func (c *Cache) readEntry(kind, key string, v any) bool {
+func (c *Cache) readEntry(key string, v any) bool {
 	if c.dir == "" {
 		return false
 	}
-	data, err := os.ReadFile(c.entryPath(kind, key))
+	data, err := os.ReadFile(c.entryPath(key))
 	if err != nil {
 		return false
 	}
@@ -191,7 +143,7 @@ func (c *Cache) readEntry(kind, key string, v any) bool {
 // writeEntry persists one entry: SHA-256 line, payload, temp file, atomic
 // rename. Write failures are silently dropped — the cache is an
 // accelerator, never a correctness dependency. Lock held.
-func (c *Cache) writeEntry(kind, key string, v any) {
+func (c *Cache) writeEntry(key string, v any) {
 	if c.dir == "" {
 		return
 	}
@@ -201,7 +153,7 @@ func (c *Cache) writeEntry(kind, key string, v any) {
 	}
 	sum := sha256.Sum256(payload)
 	data := append([]byte(hex.EncodeToString(sum[:])+"\n"), payload...)
-	tmp, err := os.CreateTemp(c.dir, "."+kind+"-*")
+	tmp, err := os.CreateTemp(c.dir, ".t1-*")
 	if err != nil {
 		return
 	}
@@ -212,7 +164,7 @@ func (c *Cache) writeEntry(kind, key string, v any) {
 		os.Remove(name)
 		return
 	}
-	if err := os.Rename(name, c.entryPath(kind, key)); err != nil {
+	if err := os.Rename(name, c.entryPath(key)); err != nil {
 		os.Remove(name)
 		return
 	}

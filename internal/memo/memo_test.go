@@ -2,15 +2,20 @@ package memo
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"parserhawk/internal/benchdata"
+	"parserhawk/internal/cert"
 	"parserhawk/internal/core"
 	"parserhawk/internal/hw"
 	"parserhawk/internal/pir"
 	"parserhawk/internal/sim"
+	"parserhawk/internal/tcam"
 )
 
 // smallSpec is a two-state parser small enough to compile in
@@ -227,7 +232,7 @@ func TestNoSolutionCachedExactOnly(t *testing.T) {
 	if _, err := c.CompileContext(context.Background(), spec, profile, opts); err == nil {
 		t.Fatal("expected a failing compile")
 	} else if !strings.Contains(err.Error(), "no implementation") {
-		t.Skipf("budget clamp did not produce no-solution on this profile: %v", err)
+		t.Fatalf("budget clamp did not produce no-solution on this profile: %v", err)
 	}
 	if st := c.Stats(); st.T1Stores != 1 {
 		t.Fatalf("no-solution verdict was not stored: %+v", st)
@@ -239,43 +244,13 @@ func TestNoSolutionCachedExactOnly(t *testing.T) {
 	if st := c.Stats(); st.T1Hits != 1 {
 		t.Fatalf("exact no-solution must hit: %+v", st)
 	}
-	// ...but an alias spec does not inherit it via tier 1. It must
-	// instead fall through to a compile whose portfolio skips the
-	// already-proven-UNSAT ladders through tier 2.
+	// ...but an alias spec does not inherit it: it falls through to a
+	// compile of its own.
 	if _, err := c.CompileContext(context.Background(), aliasSpec(t), profile, opts); err == nil {
 		t.Fatal("alias compile should also fail on the clamped budget")
 	}
-	st := c.Stats()
-	if st.T1AliasHits != 0 {
+	if st := c.Stats(); st.T1AliasHits != 0 || st.T1Misses != 2 {
 		t.Fatalf("no-solution must never be served from an alias: %+v", st)
-	}
-	if st.T2Stores == 0 {
-		t.Fatalf("UNSAT-at-cap fact was not recorded: %+v", st)
-	}
-	if st.T2Hits == 0 {
-		t.Fatalf("alias compile did not reuse the tier-2 fact: %+v", st)
-	}
-}
-
-func TestTier2RoundTripAcrossProcesses(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RecordSkeletonUnsat("abc123")
-	if !c.SkeletonUnsat("abc123") {
-		t.Fatal("in-memory tier-2 miss")
-	}
-	c2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c2.SkeletonUnsat("abc123") {
-		t.Fatal("tier-2 fact did not survive reopen")
-	}
-	if c2.SkeletonUnsat("other") {
-		t.Fatal("tier-2 false positive")
 	}
 }
 
@@ -285,7 +260,182 @@ func TestNilCacheCompiles(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("nil cache must pass through: %v", err)
 	}
-	if c.SkeletonUnsat("x") {
-		t.Fatal("nil cache tiers must be inert")
+	if st := c.Stats(); st != (Stats{}) {
+		t.Fatalf("nil cache must count nothing: %+v", st)
+	}
+}
+
+// TestLoopyAliasOnLoopCapableDeviceIsServed replays a loopy benchmark to
+// its renamed twin on a device that runs loops natively. The alias must
+// be served: the witness walk has no iteration bound, so a program that
+// folds the last loop turn into its loop entry (and so accepts in fewer
+// state visits than the spec) is proved equivalent rather than refused.
+func TestLoopyAliasOnLoopCapableDeviceIsServed(t *testing.T) {
+	const name = "Parse MPLS"
+	orig, ok := benchdata.ByName(name)
+	var alias benchdata.Benchmark
+	for _, b := range benchdata.Alias() {
+		if b.Name() == name {
+			alias = b
+		}
+	}
+	if !ok || alias.Spec == nil || !orig.Spec.HasLoop() {
+		t.Fatalf("benchdata has no loopy %q with an alias twin", name)
+	}
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile, opts := hw.Tofino(), testOpts()
+	opts.MaxIterations = orig.MaxIterations
+	if _, err := c.CompileContext(context.Background(), orig.Spec, profile, opts); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.CompileContext(context.Background(), alias.Spec, profile, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.T1AliasHits != 1 || st.T1Misses != 1 {
+		t.Fatalf("loopy alias was not served: %+v", st)
+	}
+	if _, err := cert.BuildWitness(alias.Spec, res.Program); err != nil {
+		t.Fatalf("served program has no witness against the alias: %v", err)
+	}
+	if rep := sim.Check(alias.Spec, res.Program, 2000, 16, 0, 7); !rep.OK() {
+		t.Fatalf("served program does not implement the alias: %s", rep)
+	}
+}
+
+// wideSpec has one 24-bit exact key: a stored program whose matching
+// entry loses one mask bit is wrong on exactly one key value in 2^24,
+// far below what sampling finds.
+func wideSpec(name, key, body string) *pir.Spec {
+	fields := []pir.Field{{Name: key, Width: 24}, {Name: body, Width: 8}}
+	states := []pir.State{
+		{
+			Name:     name + "_start",
+			Extracts: []pir.Extract{{Field: key}},
+			Key:      []pir.KeyPart{pir.FieldSlice(key, 0, 24)},
+			Rules:    []pir.Rule{pir.ExactRule(0xabcdef, 24, pir.To(1))},
+			Default:  pir.AcceptTarget,
+		},
+		{
+			Name:     name + "_body",
+			Extracts: []pir.Extract{{Field: body}},
+			Default:  pir.AcceptTarget,
+		},
+	}
+	return pir.MustNew(name, fields, states)
+}
+
+// TestWellFormedWrongEntryIsRefused stores a program, then rewrites its
+// entry on disk with one mask bit of the matching row cleared: the file
+// stays well-formed and its integrity line valid, but the program is
+// wrong. An alias request must refuse it and compile afresh.
+func TestWellFormedWrongEntryIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	producer, profile, opts := wideSpec("prod", "tag", "data"), hw.Tofino(), testOpts()
+	if _, err := c.CompileContext(context.Background(), producer, profile, opts); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := filepath.Glob(filepath.Join(dir, "t1-*.json"))
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("expected one t1 entry, got %v (%v)", ents, err)
+	}
+	key := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(ents[0]), "t1-"), ".json")
+	var e t1Entry
+	if !c.readEntry(key, &e) {
+		t.Fatal("stored entry does not read back")
+	}
+	prog, err := tcam.DecodeJSON(e.ProgramJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := false
+	for i := range prog.States {
+		for j := range prog.States[i].Entries {
+			if en := &prog.States[i].Entries[j]; !tampered && en.Mask != 0 {
+				en.Mask &^= en.Mask & -en.Mask // clear the lowest cared-for bit
+				tampered = true
+			}
+		}
+	}
+	if !tampered {
+		t.Fatalf("stored program has no masked entry:\n%s", prog)
+	}
+	if _, err := cert.BuildWitness(producer, prog); err == nil {
+		t.Fatalf("tampered program still has a witness:\n%s", prog)
+	}
+	if e.ProgramJSON, err = prog.EncodeJSON(); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.writeEntry(key, &e)
+	c.mu.Unlock()
+
+	c2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias := wideSpec("alias", "kind", "body")
+	res, err := c2.CompileContext(context.Background(), alias, profile, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.T1AliasHits != 0 || st.T1Misses != 1 || st.Corrupt != 0 {
+		t.Fatalf("a wrong stored program must be a clean miss: %+v", st)
+	}
+	if _, err := cert.BuildWitness(alias, res.Program); err != nil {
+		t.Fatalf("fresh compile after the miss is wrong: %v", err)
+	}
+}
+
+// TestConcurrentCompilesShareOneCache is the shape hawkd runs: many
+// concurrent compiles of specs with one canonical form against one
+// disk-backed cache. Run under -race it checks the locking; in any mode
+// every served program must be right for its own spec, every compile is
+// one hit or one miss, and exactly one entry reaches the directory.
+func TestConcurrentCompilesShareOneCache(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile, opts := hw.Tofino(), testOpts()
+	specs := []*pir.Spec{smallSpec(t), aliasSpec(t)}
+	const goroutines = 8
+	errs := make(chan error, goroutines*len(specs))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, spec := range specs {
+				res, err := c.CompileContext(context.Background(), spec, profile, opts)
+				if err == nil {
+					_, err = cert.BuildWitness(spec, res.Program)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("%s: %w", spec.Name, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	st := c.Stats()
+	if n := st.T1Hits + st.T1AliasHits + st.T1Misses; n != goroutines*int64(len(specs)) {
+		t.Errorf("%d lookups counted for %d compiles: %+v", n, goroutines*len(specs), st)
+	}
+	ents, err := filepath.Glob(filepath.Join(dir, "t1-*.json"))
+	if err != nil || len(ents) != 1 {
+		t.Errorf("expected one t1 entry, got %v (%v)", ents, err)
 	}
 }

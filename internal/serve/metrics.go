@@ -179,16 +179,13 @@ func (s *Server) writeMetrics(w io.Writer) {
 
 	if s.cfg.Memo != nil {
 		ms := s.cfg.Memo.Stats()
-		m.family("hawkd_memo_tier_hits_total", "counter", "Cross-compile memo hits by tier (tier 1 split into exact and alias replays).")
+		m.family("hawkd_memo_tier_hits_total", "counter", "Cross-compile memo whole-compile hits, split into exact replays (tier 1) and witness-checked alias replays (tier 1_alias).")
 		m.labeled("hawkd_memo_tier_hits_total", "tier", "1", ms.T1Hits)
 		m.labeled("hawkd_memo_tier_hits_total", "tier", "1_alias", ms.T1AliasHits)
-		m.labeled("hawkd_memo_tier_hits_total", "tier", "2", ms.T2Hits)
-		m.family("hawkd_memo_tier_misses_total", "counter", "Cross-compile memo misses by tier.")
+		m.family("hawkd_memo_tier_misses_total", "counter", "Cross-compile memo misses.")
 		m.labeled("hawkd_memo_tier_misses_total", "tier", "1", ms.T1Misses)
-		m.labeled("hawkd_memo_tier_misses_total", "tier", "2", ms.T2Misses)
-		m.family("hawkd_memo_tier_stores_total", "counter", "Cross-compile memo entries stored by tier.")
+		m.family("hawkd_memo_tier_stores_total", "counter", "Cross-compile memo entries stored.")
 		m.labeled("hawkd_memo_tier_stores_total", "tier", "1", ms.T1Stores)
-		m.labeled("hawkd_memo_tier_stores_total", "tier", "2", ms.T2Stores)
 		m.family("hawkd_memo_bytes_read_total", "counter", "Bytes read from the memo directory.")
 		m.sample("hawkd_memo_bytes_read_total", ms.BytesRead)
 		m.family("hawkd_memo_bytes_written_total", "counter", "Bytes written to the memo directory.")

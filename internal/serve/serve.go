@@ -90,8 +90,8 @@ type Config struct {
 	// MaxBodyBytes bounds a request body (default 4 MiB).
 	MaxBodyBytes int64
 	// Memo, when set, routes compilations through the cross-compile memo
-	// cache (internal/memo): whole-compile replays and skeleton-UNSAT
-	// facts, shared across restarts via -memo-dir.
+	// cache (internal/memo): whole-compile replays, exact or
+	// witness-checked alias, shared across restarts via -memo-dir.
 	// The server's own LRU still fronts it at response granularity.
 	Memo *memo.Cache
 }

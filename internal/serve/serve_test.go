@@ -824,7 +824,9 @@ func TestServeWithMemoServesTierCounters(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, buf.String())
 		}
 	}
-	if strings.Contains(buf.String(), `tier="3"`) {
-		t.Errorf("metrics still carry a tier-3 label:\n%s", buf.String())
+	for _, gone := range []string{`tier="2"`, `tier="3"`} {
+		if strings.Contains(buf.String(), gone) {
+			t.Errorf("metrics still carry a %s label:\n%s", gone, buf.String())
+		}
 	}
 }

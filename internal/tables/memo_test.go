@@ -54,3 +54,19 @@ func TestMemoHarnessWarmRun(t *testing.T) {
 		t.Errorf("no tier-1 entries stored: %+v", st)
 	}
 }
+
+// TestMemoDeltaCanonMS pins canon_ms as fractional milliseconds: one
+// canonicalization takes microseconds, which whole milliseconds round to
+// zero on every record. Files that carry an integer canon_ms still decode.
+func TestMemoDeltaCanonMS(t *testing.T) {
+	if got := memoDelta(memo.Stats{CanonNanos: 30_000}).CanonMS; got != 0.03 {
+		t.Errorf("30µs of canonicalization reported as canon_ms %v, want 0.03", got)
+	}
+	runs, err := DecodeRunStats([]byte(`[{"memo": {"t1_hits": 1, "canon_ms": 2}}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := runs[0].Memo; m == nil || m.CanonMS != 2 || m.T1Hits != 1 {
+		t.Errorf("integer canon_ms decoded as %+v", m)
+	}
+}

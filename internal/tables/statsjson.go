@@ -42,26 +42,24 @@ type RunStats struct {
 }
 
 // MemoRunStats is the per-compilation slice of memo.Stats surfaced in the
-// hawkbench -stats report: how many tier hits/misses this specific
-// compile saw, and how long key canonicalization took.
+// hawkbench -stats report: how many hits/misses this specific compile
+// saw, and how long key canonicalization took (fractional milliseconds:
+// one canonicalization takes microseconds).
 type MemoRunStats struct {
-	T1Hits      int64 `json:"t1_hits"`
-	T1AliasHits int64 `json:"t1_alias_hits"`
-	T1Misses    int64 `json:"t1_misses"`
-	T2Hits      int64 `json:"t2_hits"`
-	T2Misses    int64 `json:"t2_misses"`
-	BytesRead   int64 `json:"bytes_read"`
-	BytesWrit   int64 `json:"bytes_written"`
-	CanonMS     int64 `json:"canon_ms"`
+	T1Hits      int64   `json:"t1_hits"`
+	T1AliasHits int64   `json:"t1_alias_hits"`
+	T1Misses    int64   `json:"t1_misses"`
+	BytesRead   int64   `json:"bytes_read"`
+	BytesWrit   int64   `json:"bytes_written"`
+	CanonMS     float64 `json:"canon_ms"`
 }
 
 // memoDelta converts a memo.Stats movement into the stats-report form.
 func memoDelta(d memo.Stats) *MemoRunStats {
 	return &MemoRunStats{
 		T1Hits: d.T1Hits, T1AliasHits: d.T1AliasHits, T1Misses: d.T1Misses,
-		T2Hits: d.T2Hits, T2Misses: d.T2Misses,
 		BytesRead: d.BytesRead, BytesWrit: d.BytesWritten,
-		CanonMS: d.CanonNanos / 1e6,
+		CanonMS: float64(d.CanonNanos) / 1e6,
 	}
 }
 
