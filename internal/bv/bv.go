@@ -33,25 +33,24 @@ func (b BV) Width() int { return len(b.Bits) }
 // Gate construction is hash-consed: structurally identical And/Xor/Ite
 // gates are built once and shared, so repeated subcircuits (the CEGIS
 // loop re-encodes near-identical counterexample circuits constantly) stop
-// emitting duplicate CNF.
+// emitting duplicate CNF. All three gate kinds share one flat
+// open-addressing table keyed by their operand literals (cons.go).
 type Solver struct {
 	SAT *sat.Solver
 
 	tru sat.Lit // literal fixed to true
 
-	andCache map[[2]Lit]Lit
-	xorCache map[[2]Lit]Lit
-	muxCache map[[3]Lit]Lit
+	cons consTable
 
-	gates    int64 // Tseitin gates actually allocated (cache misses)
-	consHits int64 // gate constructions answered from the structural cache
+	gates    int64 // Tseitin gates actually allocated (table misses)
+	consHits int64 // gate constructions answered from the table
 }
 
 // Metrics combines the underlying CDCL counters with the bit-blasting
 // layer's own: how many Tseitin gates the encoder materialized (constant
-// folding and the structural caches make this far smaller than the number
-// of formula-construction calls), and how many gate constructions the
-// hash-consing caches answered without emitting CNF.
+// folding and hash-consing make this far smaller than the number of
+// formula-construction calls), and how many gate constructions the
+// hash-cons table answered without emitting CNF.
 type Metrics struct {
 	sat.Metrics
 	Gates    int64 `json:"gates"`
@@ -73,12 +72,7 @@ func New() *Solver { return newSolver(false) }
 func NewRecording() *Solver { return newSolver(true) }
 
 func newSolver(record bool) *Solver {
-	s := &Solver{
-		SAT:      sat.New(),
-		andCache: map[[2]Lit]Lit{},
-		xorCache: map[[2]Lit]Lit{},
-		muxCache: map[[3]Lit]Lit{},
-	}
+	s := &Solver{SAT: sat.New()}
 	s.SAT.RecordOriginal = record
 	v := s.SAT.NewVar()
 	s.tru = sat.MkLit(v, false)
@@ -156,16 +150,18 @@ func (s *Solver) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	if g, ok := s.andCache[[2]Lit{a, b}]; ok {
+	k := andKey(a, b)
+	g, slot, ok := s.cons.lookup(k)
+	if ok {
 		s.consHits++
 		return g
 	}
-	g := s.NewLit()
+	g = s.NewLit()
 	s.gates++
 	s.SAT.AddBinary(g.Not(), a)
 	s.SAT.AddBinary(g.Not(), b)
 	s.SAT.AddClause(g, a.Not(), b.Not())
-	s.andCache[[2]Lit{a, b}] = g
+	s.cons.insert(slot, k, g)
 	return g
 }
 
@@ -193,17 +189,19 @@ func (s *Solver) Xor(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	if g, ok := s.xorCache[[2]Lit{a, b}]; ok {
+	k := xorKey(a, b)
+	g, slot, ok := s.cons.lookup(k)
+	if ok {
 		s.consHits++
 		return g
 	}
-	g := s.NewLit()
+	g = s.NewLit()
 	s.gates++
 	s.SAT.AddClause(g.Not(), a, b)
 	s.SAT.AddClause(g.Not(), a.Not(), b.Not())
 	s.SAT.AddClause(g, a.Not(), b)
 	s.SAT.AddClause(g, a, b.Not())
-	s.xorCache[[2]Lit{a, b}] = g
+	s.cons.insert(slot, k, g)
 	return g
 }
 
@@ -251,11 +249,13 @@ func (s *Solver) MuxLit(c, a, b Lit) Lit {
 	case a == b.Not():
 		return s.Iff(c, a)
 	}
-	if g, ok := s.muxCache[[3]Lit{c, a, b}]; ok {
+	k := muxKey(c, a, b)
+	g, slot, ok := s.cons.lookup(k)
+	if ok {
 		s.consHits++
 		return g
 	}
-	g := s.NewLit()
+	g = s.NewLit()
 	s.gates++
 	s.SAT.AddClause(g.Not(), c.Not(), a)
 	s.SAT.AddClause(g.Not(), c, b)
@@ -265,7 +265,7 @@ func (s *Solver) MuxLit(c, a, b Lit) Lit {
 	// without deciding c.
 	s.SAT.AddClause(g, a.Not(), b.Not())
 	s.SAT.AddClause(g.Not(), a, b)
-	s.muxCache[[3]Lit{c, a, b}] = g
+	s.cons.insert(slot, k, g)
 	return g
 }
 

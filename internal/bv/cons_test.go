@@ -85,8 +85,8 @@ func TestConsedCircuitsModelEquivalent(t *testing.T) {
 // TestConsingShrinksRepeatedSubcircuits encodes the same comparison
 // subcircuit many times — the shape of CEGIS counterexample circuitry,
 // where every example re-matches the same symbolic entries — and checks
-// that every repetition after the first is answered from the structural
-// caches: no new variables, no new gates, and registered cache hits.
+// that every repetition after the first is answered from the hash-cons
+// table: no new variables, no new gates, and registered cons hits.
 func TestConsingShrinksRepeatedSubcircuits(t *testing.T) {
 	s := New()
 	key := s.NewBV(12)
@@ -151,4 +151,178 @@ func TestCountLadderMatchesAtMostK(t *testing.T) {
 			t.Fatalf("assign %06b unconstrained: %v", assign, got)
 		}
 	}
+}
+
+// TestConsTableAgainstMap drives the hash-cons table through seven
+// growths (16 to 2048 slots) with a Go map as the reference. A quarter of
+// the keys share the top 12 bits of their hash, so they all start probing
+// at one slot at every size the test reaches and form one long cluster.
+// The rest come in threes, an And, a Xor and a mux over the same first
+// two operands, so only the kind tells them apart. Every insert is
+// preceded by a lookup that must miss, and after each insert a random
+// earlier key and a random key are looked up too.
+func TestConsTableAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lit := func() Lit { return Lit(2 + rng.Intn(1<<20)) }
+	randomKey := func() gateKey {
+		switch rng.Intn(3) {
+		case 0:
+			return andKey(lit(), lit())
+		case 1:
+			return xorKey(lit(), lit())
+		}
+		return muxKey(lit(), lit(), lit())
+	}
+	home := randomKey().hash() >> 52
+	var keys []gateKey
+	for colliding := 0; len(keys) < 1200; {
+		if 4*colliding < len(keys) {
+			k := randomKey()
+			for k.hash()>>52 != home {
+				k = randomKey()
+			}
+			keys = append(keys, k)
+			colliding++
+			continue
+		}
+		a, b := lit(), lit()
+		keys = append(keys, andKey(a, b), xorKey(a, b), muxKey(a, b, lit()))
+	}
+	ref := map[gateKey]Lit{}
+	var tab consTable
+	check := func(k gateKey) {
+		t.Helper()
+		g, _, ok := tab.lookup(k)
+		want, wantOK := ref[k]
+		if ok != wantOK || ok && g != want {
+			t.Fatalf("lookup %+v = (%d, %v), reference has (%d, %v)", k, g, ok, want, wantOK)
+		}
+	}
+	sizes, size := 0, 0
+	for i, k := range keys {
+		g, slot, ok := tab.lookup(k)
+		if want, dup := ref[k]; dup {
+			if !ok || g != want {
+				t.Fatalf("key %d %+v: lookup = (%d, %v), reference has %d", i, k, g, ok, want)
+			}
+			continue
+		}
+		if ok {
+			t.Fatalf("key %d %+v: lookup hit gate %d before it was inserted", i, k, g)
+		}
+		if len(tab.slots) != size {
+			sizes, size = sizes+1, len(tab.slots)
+		}
+		tab.insert(slot, k, Lit(2*i+2))
+		ref[k] = Lit(2*i + 2)
+		check(keys[rng.Intn(i+1)])
+		check(randomKey())
+	}
+	for _, k := range keys {
+		check(k)
+	}
+	if tab.used != len(ref) {
+		t.Errorf("table holds %d gates, reference %d", tab.used, len(ref))
+	}
+	if sizes != 8 || size != 2048 {
+		t.Errorf("table took %d sizes, ending at %d slots; want 8, from 16 to 2048", sizes, size)
+	}
+}
+
+// buildLayeredCircuit requests len(leaves) gates per layer for depth
+// layers, each over operands of distinct variables drawn from the previous
+// layer (the first layer draws from the leaves): And, Or, Xor and MuxLit
+// with random polarities. Every fourth request on average repeats one made
+// earlier in its layer. With distinct variables no request folds, so each
+// one is exactly one hash-cons lookup; it returns how many it made.
+func buildLayeredCircuit(s *Solver, rng *rand.Rand, leaves []Lit, depth int) int {
+	type request struct {
+		op      int
+		x, y, z Lit
+	}
+	width := len(leaves)
+	prev := append([]Lit(nil), leaves...)
+	layer := make([]Lit, width)
+	reqs := make([]request, 0, width)
+	// pick draws an operand whose variable is neither u nor v.
+	pick := func(u, v int) Lit {
+		for {
+			l := prev[rng.Intn(width)]
+			if l.Var() != u && l.Var() != v {
+				return pin(l, rng.Intn(2) == 0)
+			}
+		}
+	}
+	calls := 0
+	for d := 0; d < depth; d++ {
+		reqs = reqs[:0]
+		for i := range layer {
+			var r request
+			if len(reqs) > 0 && rng.Intn(4) == 0 {
+				r = reqs[rng.Intn(len(reqs))]
+			} else {
+				r.op = rng.Intn(4)
+				r.x = pick(-1, -1)
+				r.y = pick(r.x.Var(), -1)
+				r.z = pick(r.x.Var(), r.y.Var())
+			}
+			reqs = append(reqs, r)
+			calls++
+			switch r.op {
+			case 0:
+				layer[i] = s.And(r.x, r.y)
+			case 1:
+				layer[i] = s.Or(r.x, r.y)
+			case 2:
+				layer[i] = s.Xor(r.x, r.y)
+			default:
+				layer[i] = s.MuxLit(r.z, r.x, r.y)
+			}
+		}
+		prev, layer = layer, prev
+	}
+	return calls
+}
+
+// TestRebuiltCircuitIsAllConsHits builds one random layered circuit twice
+// in one solver. The second pass must add no variable, gate or clause, and
+// every gate request in it must be answered by the hash-cons table.
+func TestRebuiltCircuitIsAllConsHits(t *testing.T) {
+	s := New()
+	leaves := s.NewBV(40).Bits
+	before := s.Metrics()
+	calls := buildLayeredCircuit(s, rand.New(rand.NewSource(3)), leaves, 30)
+	first := s.Metrics()
+	if got := first.Gates + first.ConsHits - before.Gates - before.ConsHits; got != int64(calls) {
+		t.Fatalf("first pass: %d gates + cons hits for %d requests", got, calls)
+	}
+	if first.ConsHits == before.ConsHits {
+		t.Fatal("first pass repeated no request")
+	}
+	if again := buildLayeredCircuit(s, rand.New(rand.NewSource(3)), leaves, 30); again != calls {
+		t.Fatalf("second pass made %d requests, first %d", again, calls)
+	}
+	second := s.Metrics()
+	if second.Vars != first.Vars || second.Gates != first.Gates || second.Clauses != first.Clauses {
+		t.Errorf("second pass grew the encoding: vars %d -> %d, gates %d -> %d, clauses %d -> %d",
+			first.Vars, second.Vars, first.Gates, second.Gates, first.Clauses, second.Clauses)
+	}
+	if hits := second.ConsHits - first.ConsHits; hits != int64(calls) {
+		t.Errorf("second pass: %d cons hits for %d requests", hits, calls)
+	}
+}
+
+// BenchmarkGateConstruction builds a random layered circuit of 100k gate
+// requests (about a quarter of them repeats) in a fresh solver per op: the
+// hash-cons table and the solver's variable and clause storage, with no
+// search.
+func BenchmarkGateConstruction(b *testing.B) {
+	b.ReportAllocs()
+	var gates int64
+	for i := 0; i < b.N; i++ {
+		s := New()
+		buildLayeredCircuit(s, rand.New(rand.NewSource(1)), s.NewBV(1000).Bits, 100)
+		gates = s.Metrics().Gates
+	}
+	b.ReportMetric(float64(gates), "gates/op")
 }

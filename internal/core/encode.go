@@ -35,6 +35,9 @@ type synthesizer struct {
 	entries [][]entryVar // [state][entry]
 	targets int          // number of transition targets: len(states) + accept + reject
 
+	// match holds matchAt's circuits for the whole ladder.
+	match map[matchKey]*matchCircuit
+
 	// The most recent solve's assumptions and verdict, for lastQuery and
 	// lastProof.
 	lastAssumps []bv.Lit
@@ -80,6 +83,7 @@ func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Optio
 		opts:    opts,
 		s:       s,
 		targets: len(sk.States) + 2,
+		match:   map[matchKey]*matchCircuit{},
 	}
 	seen := map[string]bool{}
 	for _, ss := range sk.States {
@@ -206,11 +210,13 @@ type conf struct {
 	pos   int
 }
 
-// matchCircuit caches the priority-match circuitry for one (state, key
-// value) pair: the fired formula per entry, the no-entry-matched formula,
-// any-fired, and the per-target transition formula. Many configurations
-// share key values (zero padding, common prefixes), so caching keeps the
-// unrolled circuit compact.
+// matchCircuit is the priority-match circuitry for one (state, key value)
+// pair: the no-entry-matched formula, any-fired-with-extraction, and the
+// per-target transition formulas. Hash-consing already keeps the circuit
+// compact: rebuilding it for a pair seen before adds no CNF. The
+// synthesizer keeps each pair's circuit for the whole ladder anyway,
+// because configurations and examples share key values (zero padding,
+// common prefixes) and every rebuild repeats dozens of table lookups.
 type matchCircuit struct {
 	noneMatched  bv.Lit
 	firedExtract bv.Lit   // some entry fired with its extraction enabled
@@ -218,9 +224,9 @@ type matchCircuit struct {
 	goPass       []bv.Lit // per target: fired, cursor untouched
 }
 
-func (sy *synthesizer) matchAt(cache map[matchKey]*matchCircuit, state int, kv uint64) *matchCircuit {
+func (sy *synthesizer) matchAt(state int, kv uint64) *matchCircuit {
 	k := matchKey{state, kv}
-	if mc, ok := cache[k]; ok {
+	if mc, ok := sy.match[k]; ok {
 		return mc
 	}
 	s := sy.s
@@ -252,7 +258,7 @@ func (sy *synthesizer) matchAt(cache map[matchKey]*matchCircuit, state int, kv u
 		mc.goExtract[t] = goX
 		mc.goPass[t] = goP
 	}
-	cache[k] = mc
+	sy.match[k] = mc
 	return mc
 }
 
@@ -272,7 +278,6 @@ func (sy *synthesizer) addTestCase(input bitstream.Bits, expected pir.Result) er
 	at := map[conf]bv.Lit{{state: 0, pos: 0}: s.True()}
 	accAny := s.False()
 	rejAny := s.False()
-	cache := map[matchKey]*matchCircuit{}
 
 	// Per-field running dict state.
 	ext := map[string]bv.Lit{} // field extracted so far
@@ -298,7 +303,7 @@ func (sy *synthesizer) addTestCase(input bitstream.Bits, expected pir.Result) er
 			if err != nil {
 				return err
 			}
-			mc := sy.matchAt(cache, c.state, kv)
+			mc := sy.matchAt(c.state, kv)
 
 			// No entry matched: the device rejects.
 			rejAny = s.Or(rejAny, s.And(atLit, mc.noneMatched))

@@ -197,8 +197,8 @@ type SolverStats struct {
 	// the same solver rather than re-derived: what the persistent clause
 	// database was worth.
 	RetainedClauses int64 `json:"retained_clauses"`
-	// ConsHits counts gate constructions the bit-blaster's hash-consing
-	// caches answered without emitting CNF — duplicate subcircuits (mostly
+	// ConsHits counts gate constructions the bit-blaster's hash-cons
+	// table answered without emitting CNF — duplicate subcircuits (mostly
 	// repeated counterexample circuitry) that were deduplicated.
 	ConsHits int64 `json:"cons_hits"`
 	// BinPropagations counts implications served by the solver's binary

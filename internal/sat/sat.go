@@ -18,6 +18,7 @@ package sat
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -158,7 +159,7 @@ type Solver struct {
 	qhead    int
 
 	seen     []bool
-	lbdStamp []int64 // per-decision-level stamp for LBD counting
+	lbdStamp []int64 // LBD counting stamp per decision level; computeLBD grows it
 	lbdTick  int64
 	binConfl [2]Lit // literals of a conflicting binary clause
 	addBuf   []Lit  // AddClause scratch
@@ -202,18 +203,45 @@ func New() *Solver {
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assign)
+	if v == cap(s.assign) {
+		s.growVars()
+	}
 	s.assign = append(s.assign, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, reasonNone)
 	s.phase = append(s.phase, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.lbdStamp = append(s.lbdStamp, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.binWatches = append(s.binWatches, nil, nil)
 	s.order.push(v, &s.activity)
 	return v
 }
+
+// growVars makes room for half as many variables again as the solver
+// holds, in every per-variable array at once. Left to append, each array
+// regrows on its own at about 1.25x; encoding allocates variables by the
+// hundred thousand, and those copies cost more than the search. 2x growth
+// runs a little faster but raised the cold suite's peak memory by up to
+// 31% (DESIGN.md). Every array is grown to at least assign's capacity, so
+// none fills up before assign does.
+func (s *Solver) growVars() {
+	s.assign = slices.Grow(s.assign, max(len(s.assign)/2, 16))
+	n := cap(s.assign)
+	s.level = growTo(s.level, n)
+	s.reason = growTo(s.reason, n)
+	s.phase = growTo(s.phase, n)
+	s.activity = growTo(s.activity, n)
+	s.seen = growTo(s.seen, n)
+	s.watches = growTo(s.watches, 2*n)
+	s.binWatches = growTo(s.binWatches, 2*n)
+	s.order.data = growTo(s.order.data, n)
+	s.order.pos = growTo(s.order.pos, n)
+}
+
+// growTo returns xs with capacity for at least n elements. slices.Grow
+// copies the old elements without zeroing their new home first.
+func growTo[E any](xs []E, n int) []E { return slices.Grow(xs, n-len(xs)) }
 
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return len(s.assign) }
