@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -41,6 +42,13 @@ import (
 // joint behavior: if it proves agreement, the machines agree on every
 // packet, while a spurious disagreement can only reject a good witness,
 // never accept a bad one.
+
+// ErrMismatch marks a witness failure where the two machines disagree on
+// a branch the walk found feasible: different extractions, or different
+// verdicts. Every other failure (the configuration limit, a field-table
+// mismatch, a zero-progress cycle) means the walk could not decide, not
+// that the program is wrong.
+var ErrMismatch = errors.New("machines disagree")
 
 const (
 	specAccept = -1
@@ -133,6 +141,11 @@ func (e *engine) fresh() int32 {
 
 func (e *engine) failf(format string, args ...any) error {
 	return fmt.Errorf("cert: witness: "+format, args...)
+}
+
+// mismatchf is failf for a disagreement between the machines.
+func (e *engine) mismatchf(format string, args ...any) error {
+	return fmt.Errorf("cert: witness: %w: "+format, append([]any{ErrMismatch}, args...)...)
 }
 
 func specName(eff *pir.Spec, spec int) string {
@@ -381,12 +394,12 @@ func (e *engine) consume(c *config, extracts []pir.Extract, next tcam.Target) er
 	}
 	x := extracts[0]
 	if c.spec < 0 {
-		return e.failf("implementation extracts %q after the spec reached %s", x.Field, specName(e.eff, c.spec))
+		return e.mismatchf("implementation extracts %q after the spec reached %s", x.Field, specName(e.eff, c.spec))
 	}
 	ss := &e.eff.States[c.spec]
 	sx := ss.Extracts[c.partial]
 	if sx != x {
-		return e.failf("extraction mismatch in spec state %q: spec extracts %s, implementation extracts %s",
+		return e.mismatchf("extraction mismatch in spec state %q: spec extracts %s, implementation extracts %s",
 			ss.Name, describeExtract(sx), describeExtract(x))
 	}
 	e.applyExtract(c, x)
@@ -431,10 +444,10 @@ func (e *engine) requireSpecVerdict(c *config, want int) error {
 		return nil
 	}
 	if c.spec < 0 {
-		return e.failf("verdict mismatch: implementation reached %s but spec reached %s",
+		return e.mismatchf("verdict mismatch: implementation reached %s but spec reached %s",
 			specName(e.eff, want), specName(e.eff, c.spec))
 	}
-	return e.failf("implementation reached %s but spec state %q still expects extraction",
+	return e.mismatchf("implementation reached %s but spec state %q still expects extraction",
 		specName(e.eff, want), e.eff.States[c.spec].Name)
 }
 

@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"errors"
 	"testing"
 
 	"parserhawk/internal/pir"
@@ -98,8 +99,8 @@ func TestWitnessCatchesWrongTarget(t *testing.T) {
 	// Corrupt the program: the IPv4 branch accepts immediately instead
 	// of extracting the next byte.
 	prog.States[0].Entries[0].Next = tcam.AcceptTarget
-	if _, err := BuildWitness(spec, prog); err == nil {
-		t.Fatal("BuildWitness accepted a program that skips an extraction")
+	if _, err := BuildWitness(spec, prog); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("BuildWitness on a program that skips an extraction: %v, want ErrMismatch", err)
 	}
 	w, _ := BuildWitness(spec, miniProg(spec))
 	if err := CheckWitness(spec, prog, w); err == nil {
@@ -111,8 +112,8 @@ func TestWitnessCatchesExtractionMismatch(t *testing.T) {
 	spec := miniSpec(t)
 	prog := miniProg(spec)
 	prog.States[0].Entries[1].Extracts = nil // accept path forgets the extraction
-	if _, err := BuildWitness(spec, prog); err == nil {
-		t.Fatal("BuildWitness accepted a program that drops an extraction")
+	if _, err := BuildWitness(spec, prog); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("BuildWitness on a program that drops an extraction: %v, want ErrMismatch", err)
 	}
 }
 
@@ -135,8 +136,22 @@ func TestWitnessNoMatchMustReject(t *testing.T) {
 	spec := miniSpec(t)
 	prog := miniProg(spec)
 	prog.States[0].Entries = prog.States[0].Entries[:1] // only the 0x0800 entry
-	if _, err := BuildWitness(spec, prog); err == nil {
-		t.Fatal("BuildWitness accepted a program with an uncovered key space")
+	if _, err := BuildWitness(spec, prog); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("BuildWitness on a program with an uncovered key space: %v, want ErrMismatch", err)
+	}
+}
+
+// TestWitnessFieldWidthIsNoMismatch: a program whose field table
+// disagrees with the spec's is refused, but the walk never ran, so the
+// failure says nothing about the machines disagreeing.
+func TestWitnessFieldWidthIsNoMismatch(t *testing.T) {
+	spec := miniSpec(t)
+	prog := miniProg(pir.MustNew("mini",
+		[]pir.Field{{Name: "ethertype", Width: 16}, {Name: "v4", Width: 16}},
+		spec.States))
+	_, err := BuildWitness(spec, prog)
+	if err == nil || errors.Is(err, ErrMismatch) {
+		t.Fatalf("BuildWitness on a field-width mismatch: %v, want a non-mismatch failure", err)
 	}
 }
 

@@ -9,17 +9,16 @@ import (
 	"parserhawk/internal/hw"
 	"parserhawk/internal/p4"
 	"parserhawk/internal/pir"
-	"parserhawk/internal/tcam"
 )
 
 // buildCertificate assembles the proof-carrying artifact for a finished
 // compile: the effective spec the synthesizer targeted, the program it
-// produced, a bisimulation witness relating the two, and — when proof
+// produced, the bisimulation witness that accepted it, and — when proof
 // logging was on — the DRAT bundle for the hardest UNSAT query. Failures
 // to build any half are recorded inside the certificate rather than
 // failing the compile: a missing witness is an unverifiable result, and
 // it is the checker's job (not the compiler's) to refuse it.
-func buildCertificate(orig, eff *pir.Spec, profile hw.Profile, unroll int, prog *tcam.Program, proof *QueryDump) *cert.Certificate {
+func buildCertificate(orig, eff *pir.Spec, profile hw.Profile, unroll int, res *Result, proof *QueryDump) *cert.Certificate {
 	c := &cert.Certificate{
 		Version: cert.Version,
 		Spec:    orig.Name,
@@ -33,16 +32,15 @@ func buildCertificate(orig, eff *pir.Spec, profile hw.Profile, unroll int, prog 
 		c.Error = fmt.Sprintf("encoding effective spec: %v", err)
 		return c
 	}
-	if c.Program, err = prog.EncodeJSON(); err != nil {
+	if c.Program, err = res.Program.EncodeJSON(); err != nil {
 		c.Error = fmt.Sprintf("encoding program: %v", err)
 		return c
 	}
-	w, err := cert.BuildWitness(eff, prog)
-	if err != nil {
-		c.Error = fmt.Sprintf("building witness: %v", err)
+	if res.witnessErr != nil {
+		c.Error = fmt.Sprintf("building witness: %v", res.witnessErr)
 		return c
 	}
-	c.Witness = w
+	c.Witness = res.witness
 	if proof != nil {
 		c.Proof = &cert.ProofBundle{
 			Skeleton:  proof.Skeleton,

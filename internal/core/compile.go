@@ -30,6 +30,12 @@ type Result struct {
 	// checkable by internal/cert (and the hawkcheck CLI) without
 	// trusting this package.
 	Certificate *cert.Certificate
+
+	// witness is the proof that accepted Program (cert.BuildWitness against
+	// the effective spec), or witnessErr when the walk could not decide;
+	// the certificate reuses it.
+	witness    *cert.Witness
+	witnessErr error
 }
 
 // ErrTimeout reports that the compilation budget expired before any
@@ -72,6 +78,11 @@ var errCanceled = errors.New("core: attempt canceled")
 // ladder climbs to the next rung. The budget is measured in the profile
 // objective's units (see hw.Objective).
 var errBudgetTooSmall = errors.New("core: search budget too small")
+
+// errScalingMisled reports that an Opt2 ladder's candidate passed the
+// search on the scaled spec but the walk does not prove it at full width;
+// the skeleton then falls back to an unscaled ladder.
+var errScalingMisled = errors.New("core: bit-width scaling misled synthesis")
 
 // Compile synthesizes a TCAM parser program implementing spec on the given
 // hardware profile. It is the whole Figure 8 pipeline: analysis, skeleton
@@ -237,7 +248,7 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 		if hardestProof != nil {
 			proofDump = hardestProof.take()
 		}
-		best.Certificate = buildCertificate(orig, effOrig, profile, unrollUsed, best.Program, proofDump)
+		best.Certificate = buildCertificate(orig, effOrig, profile, unrollUsed, best, proofDump)
 	}
 	best.Stats.Elapsed = time.Since(start)
 	return best, nil
@@ -397,30 +408,25 @@ type skeletonEngine struct {
 	opts                    Options
 }
 
-// budgetEnv is the mutable CEGIS environment of one ladder: the verifier
-// pair (whose sampling RNGs advance as candidates are checked) and the
-// growing example pool. A ladder threads one env through every rung,
-// carrying counterexamples up the ladder as classic iterative deepening
-// does.
+// budgetEnv is the mutable CEGIS environment of one ladder: the
+// counterexample search (whose RNG advances as candidates are checked)
+// and the growing example pool. A ladder threads one env through every
+// rung, carrying counterexamples up the ladder as classic iterative
+// deepening does.
 type budgetEnv struct {
-	ver, origVer *verifier
-	examples     *exampleSet
+	ver      *verifier
+	examples *exampleSet
 }
 
-// newEnv builds a fresh deterministic environment: verifiers seeded from
+// newEnv builds a fresh deterministic environment: a search seeded from
 // Options.Seed and a pool holding the two §5.2 seed examples.
 func (eng *skeletonEngine) newEnv() (*budgetEnv, error) {
 	ver, err := newVerifier(eng.effSynth, eng.opts, eng.opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	origVer, err := newVerifier(eng.effOrig, eng.opts, eng.opts.Seed+1)
-	if err != nil {
-		return nil, err
-	}
 	env := &budgetEnv{
 		ver:      ver,
-		origVer:  origVer,
 		examples: &exampleSet{spec: eng.effSynth, iterBudget: ver.maxIterBudget()},
 	}
 	env.examples.add(make(bitstream.Bits, ver.maxLen)) // all-zeros
@@ -611,38 +617,33 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 		}
 		st.CEGISIterations++
 
-		// Verification phase on the synthesis-side spec.
+		// Verification phase: search the synthesis-side spec for a
+		// counterexample, and prove the program when the search finds none.
 		cand := sy.extract(eng.effSynth, eng.synthSk)
 		t1 := time.Now()
-		cex, found, _, interrupted := env.ver.counterexampleStop(cand, stop)
+		cex, found, interrupted := env.ver.counterexampleStop(cand, stop)
+		var res *Result
+		var refuted bool
+		var err error
+		if !found && !interrupted {
+			res, refuted, err = eng.prove(sy)
+		}
 		iter.VerifyTime = time.Since(t1)
 		st.VerifyTime += iter.VerifyTime
-		st.Iterations = append(st.Iterations, iter)
-		if interrupted {
-			return nil, errCanceled
+		if refuted {
+			iter.Status = "blocked"
 		}
-		if found {
+		st.Iterations = append(st.Iterations, iter)
+		switch {
+		case interrupted:
+			return nil, errCanceled
+		case found:
 			env.examples.add(cex)
 			continue
-		}
-
-		// Success on the synthesis spec: rebuild against the original
-		// spec (undo Opt2 scaling) and re-verify.
-		final := sy.extract(eng.spec, eng.origSk)
-		cex2, found2, _, interrupted2 := env.origVer.counterexampleStop(final, stop)
-		if interrupted2 {
-			return nil, errCanceled
-		}
-		if found2 {
-			if eng.effSynth == eng.effOrig {
-				// Same spec, different sampling seed: a genuine
-				// counterexample the first verifier missed. Feed it
-				// back into the CEGIS example set and continue.
-				env.examples.add(cex2)
-				continue
-			}
-			// Scaling misled synthesis (should not happen for supported
-			// specs); fall back by disabling Opt2 for this skeleton.
+		case refuted:
+			sy.block()
+			continue
+		case errors.Is(err, errScalingMisled):
 			o2 := eng.opts
 			o2.Opt2BitWidthMin = false
 			fallback := newSkeletonEngine(eng.spec, eng.effOrig, eng.effOrig, eng.origSk, eng.origSk, eng.profile, o2)
@@ -660,39 +661,55 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			fb.BudgetsTried += st.BudgetsTried
 			*st = fb
 			return res, nil
-		}
-		unoptimized := final
-		final, err := postOptimize(final, eng.profile)
-		if err != nil {
-			// Post-optimization found a hard resource violation (e.g.
-			// too many stages); a larger budget will not help.
+		case err != nil:
 			return nil, err
-		}
-		// Folding can change iteration counts; at the unrolling bound K
-		// that can shift an outcome across the budget boundary. Keep the
-		// optimized program only if it still satisfies the K-bounded
-		// contract.
-		_, foldBroke, _, foldInterrupted := env.origVer.counterexampleStop(final, stop)
-		if foldInterrupted {
-			return nil, errCanceled
-		}
-		if foldBroke {
-			final = unoptimized
-			if eng.profile.Arch != hw.SingleTable {
-				var serr error
-				if final, serr = layoutPipeline(final, eng.profile); serr != nil {
-					return nil, errBudgetTooSmall
-				}
-			}
-		}
-		if err := eng.profile.Validate(final); err != nil {
-			return nil, errBudgetTooSmall // exceeds device limits at this shape; try next budget
 		}
 		st.EntryBudget = budget
 		st.SolverVars = sy.s.NumVars()
 		st.TestCases = env.examples.size()
-		return &Result{Program: final, Resources: final.Resources()}, nil
+		return res, nil
 	}
+}
+
+// prove decides a candidate the counterexample search found nothing
+// against: cert.BuildWitness walks the full-width program against the
+// original effective spec (undoing Opt2 scaling). The post-optimized
+// program is kept only if the walk proves it. Folding changes iteration
+// counts, which at the unrolling bound K can shift an outcome, so
+// otherwise the unoptimized program, laid out for the device, is walked
+// next. An Opt2 ladder's search examined only the scaled program, so a
+// full-width program the walk does not prove reports errScalingMisled and
+// an unscaled ladder takes over. On an unscaled ladder a refutation
+// (cert.ErrMismatch) means the candidate is wrong; a walk that cannot
+// decide leaves the search's verdict on this program standing.
+func (eng *skeletonEngine) prove(sy *synthesizer) (res *Result, refuted bool, err error) {
+	unoptimized := sy.extract(eng.spec, eng.origSk)
+	final, err := postOptimize(unoptimized, eng.profile)
+	if err != nil {
+		// Post-optimization found a hard resource violation (e.g. too
+		// many stages); a larger budget will not help.
+		return nil, false, err
+	}
+	w, werr := cert.BuildWitness(eng.effOrig, final)
+	if werr != nil {
+		final = unoptimized
+		if eng.profile.Arch != hw.SingleTable {
+			if final, err = layoutPipeline(final, eng.profile); err != nil {
+				return nil, false, errBudgetTooSmall
+			}
+		}
+		w, werr = cert.BuildWitness(eng.effOrig, final)
+	}
+	switch {
+	case werr != nil && eng.effSynth != eng.effOrig:
+		return nil, false, errScalingMisled
+	case errors.Is(werr, cert.ErrMismatch):
+		return nil, true, nil
+	}
+	if err := eng.profile.Validate(final); err != nil {
+		return nil, false, errBudgetTooSmall // exceeds device limits at this shape; try next budget
+	}
+	return &Result{Program: final, Resources: final.Resources(), witness: w, witnessErr: werr}, false, nil
 }
 
 // skeletonLowerBound computes the minimum total entry count any correct

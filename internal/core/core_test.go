@@ -5,25 +5,34 @@ import (
 	"testing"
 	"time"
 
+	"parserhawk/internal/benchdata"
 	"parserhawk/internal/bitstream"
+	"parserhawk/internal/bv"
+	"parserhawk/internal/cert"
 	"parserhawk/internal/hw"
 	"parserhawk/internal/pir"
 	"parserhawk/internal/sat"
+	"parserhawk/internal/sim"
 )
 
-// checkEquivalent exhaustively (up to maxBits) or randomly compares the
-// compiled program against the spec.
+// checkEquivalent compares the compiled program against the spec twice:
+// with the compiler's own counterexample search, and with sim.Check's
+// reference interpreters on exhaustive or uniformly random inputs, an
+// oracle that shares no code with the search.
 func checkEquivalent(t *testing.T, spec *pir.Spec, res *Result, maxBits int) {
 	t.Helper()
 	v, err := newVerifier(spec, DefaultOptions(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cex, found, _ := v.counterexample(res.Program); found {
+	if cex, found := v.counterexample(res.Program); found {
 		got := res.Program.Run(cex, 0)
 		want := spec.Run(cex, 0)
 		t.Fatalf("not equivalent on %s:\nimpl acc=%v rej=%v dict=%v\nspec acc=%v rej=%v dict=%v\nprogram:\n%s",
 			cex, got.Accepted, got.Rejected, got.Dict, want.Accepted, want.Rejected, want.Dict, res.Program)
+	}
+	if rep := sim.Check(spec, res.Program, 2000, 16, 0, 7); !rep.OK() {
+		t.Fatalf("sim.Check: %s\nprogram:\n%s", rep, res.Program)
 	}
 	_ = maxBits
 }
@@ -294,5 +303,120 @@ func TestQuerySinkDumpsReplay(t *testing.T) {
 	}
 	if seen["unsat"] == 0 || seen["sat"] == 0 {
 		t.Errorf("dump statuses %v over %d dumps, want at least one unsat and one sat", seen, len(dumps))
+	}
+}
+
+// TestNaiveWireDashIsProved pins the defect the acceptance proof fixes:
+// the counterexample search passes wrong naive Wire Dash candidates (one
+// extracts s3.p3 where the spec stops after tag.svc) that 50,000 random
+// samples catch. The walk must refute and block each of them, and the
+// program returned must be proved and survive the samples.
+func TestNaiveWireDashIsProved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three naive wire-scale compiles")
+	}
+	var dash benchdata.Benchmark
+	for _, b := range benchdata.WireScale() {
+		if b.Name() == "Wire Dash" {
+			dash = b
+		}
+	}
+	for _, profile := range []hw.Profile{hw.Tofino(), hw.IPU(), hw.FPGAStreaming()} {
+		t.Run(profile.Name, func(t *testing.T) {
+			opts := NaiveOptions()
+			opts.Workers = 1
+			opts.MaxIterations = dash.MaxIterations
+			opts.Timeout = 120 * time.Second
+			res, err := Compile(dash.Spec, profile, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eff, err := EffectiveSpec(dash.Spec, profile, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cert.BuildWitness(eff, res.Program); err != nil {
+				t.Errorf("returned program not proved: %v\n%s", err, res.Program)
+			}
+			if rep := sim.Check(eff, res.Program, 50000, 0, 0, 1); !rep.OK() {
+				t.Errorf("returned program wrong: %s", rep)
+			}
+			blocked := 0
+			for _, it := range res.Stats.Iterations {
+				if it.Status == "blocked" {
+					blocked++
+				}
+			}
+			if blocked == 0 {
+				t.Errorf("no blocked iteration in %d", len(res.Stats.Iterations))
+			}
+		})
+	}
+}
+
+// TestBlockForbidsProgram blocks the first model of a small naive table
+// with no examples encoded, where every program is a model. The clause
+// must forbid that program in that slot placement and nothing else: with
+// all the literals the placement depends on assumed, the solver finds no
+// model, and flipping any one of them (an enable bit, a mask bit, a value
+// bit under a set mask bit, the selected target) finds one again.
+func TestBlockForbidsProgram(t *testing.T) {
+	spec, profile, opts := fig3Spec(t), hw.Tofino(), NaiveOptions()
+	sks, eff, err := buildSkeletons(spec, profile, opts, opts.MaxIterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sy := newSynthesizer(eff, &sks[0], profile, opts)
+	s := sy.s
+	// Every entry enabled with a full mask, so that the program depends on
+	// a literal of each kind.
+	var full []bv.Lit
+	for _, evs := range sy.entries {
+		for _, ev := range evs {
+			full = append(append(full, ev.enabled), ev.mask.Bits...)
+		}
+	}
+	if st := s.Solve(full...); st != sat.Sat {
+		t.Fatalf("empty table: %s", st)
+	}
+	var prog []bv.Lit // each literal the program depends on, as the model sets it
+	holds := func(l bv.Lit) {
+		if !s.Value(l) {
+			l = l.Not()
+		}
+		if l != s.True() {
+			prog = append(prog, l)
+		}
+	}
+	for _, evs := range sy.entries {
+		for _, ev := range evs {
+			holds(ev.enabled)
+			if !s.Value(ev.enabled) {
+				continue
+			}
+			for i, m := range ev.mask.Bits {
+				holds(m)
+				if s.Value(m) {
+					holds(ev.value.Bits[i])
+				}
+			}
+			for _, l := range ev.nextSel {
+				if s.Value(l) {
+					holds(l)
+				}
+			}
+			holds(ev.doExtract)
+		}
+	}
+	sy.block()
+	if st := s.Solve(prog...); st != sat.Unsat {
+		t.Fatalf("blocked program: %s, want unsat", st)
+	}
+	for i, l := range prog {
+		other := append([]bv.Lit(nil), prog...)
+		other[i] = l.Not()
+		if st := s.Solve(other...); st != sat.Sat {
+			t.Errorf("program with literal %d of %d flipped: %s, want sat", i, len(prog), st)
+		}
 	}
 }

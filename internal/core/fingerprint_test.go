@@ -15,7 +15,6 @@ func TestOptionsFingerprint(t *testing.T) {
 		"Opt2BitWidthMin": true, "Opt4ConstantSynthesis": true,
 		"Opt5KeyGrouping": true, "Opt7Parallelism": true,
 		"MaxIterations": true, "MaxBudget": true,
-		"ExhaustiveVerifyBits": true, "VerifySamples": true,
 		"SkipLint": true, "Seed": true,
 	}
 	excluded := map[string]bool{

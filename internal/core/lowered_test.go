@@ -30,7 +30,7 @@ func (r *regFile) dict(in bitstream.Bits, names []string) bitstream.Dict {
 // valid during visit.
 func (v *verifier) sweep(n int, visit func(bitstream.Bits)) {
 	count := 0
-	if v.maxLen <= v.opts.ExhaustiveVerifyBits {
+	if v.maxLen <= exhaustiveBits {
 		for x := uint64(0); x < 1<<uint(v.maxLen) && count < n; x++ {
 			for i := range v.in {
 				v.in[i] = byte(x >> uint(v.maxLen-1-i) & 1)
@@ -289,7 +289,7 @@ func TestLoweredCheckHandFixtures(t *testing.T) {
 			if tc.wrong != (wrong > 0) {
 				t.Fatalf("program wrong on %d inputs, want wrong=%v", wrong, tc.wrong)
 			}
-			if _, found, _ := v.counterexample(tc.prog); found != tc.wrong {
+			if _, found := v.counterexample(tc.prog); found != tc.wrong {
 				t.Fatalf("counterexample found=%v, want %v", found, tc.wrong)
 			}
 		})

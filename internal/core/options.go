@@ -51,15 +51,6 @@ type Options struct {
 	// per spec rule plus defaults).
 	MaxBudget int
 
-	// ExhaustiveVerifyBits is the largest input-space size (in bits) that
-	// the verifier checks exhaustively; larger spaces use directed plus
-	// random sampling. Default 16.
-	ExhaustiveVerifyBits int
-
-	// VerifySamples is the number of sampled inputs when exhaustive
-	// verification is infeasible. Default 2000.
-	VerifySamples int
-
 	// Workers bounds Opt7's parallel subproblems. Zero means GOMAXPROCS.
 	Workers int
 
@@ -106,8 +97,6 @@ func DefaultOptions() Options {
 		Opt4ConstantSynthesis: true,
 		Opt5KeyGrouping:       true,
 		Opt7Parallelism:       true,
-		ExhaustiveVerifyBits:  16,
-		VerifySamples:         2000,
 		Seed:                  1,
 	}
 }
@@ -118,10 +107,8 @@ func DefaultOptions() Options {
 // observation is the paper's Table 3.
 func NaiveOptions() Options {
 	return Options{
-		ExhaustiveVerifyBits: 16,
-		VerifySamples:        2000,
-		Seed:                 1,
-		SkipLint:             true,
+		Seed:     1,
+		SkipLint: true,
 	}
 }
 
@@ -269,12 +256,13 @@ type QueryDump struct {
 
 // IterationStats records one CEGIS iteration of one budget rung: the
 // wall time split between encoding the new examples, the synthesis solve
-// and the verification search, and a cumulative snapshot of the ladder's
+// and verification (the counterexample search plus, when it finds
+// nothing, the witness proof), and a cumulative snapshot of the ladder's
 // solver counters taken right after the iteration's solve returned.
 type IterationStats struct {
 	Budget     int           `json:"budget"`
 	Examples   int           `json:"examples"`    // CEGIS examples fed before this solve
-	Status     string        `json:"status"`      // sat, unsat, or canceled
+	Status     string        `json:"status"`      // sat, unsat, canceled, or blocked (the proof refuted the model)
 	EncodeTime time.Duration `json:"encode_time"` // encoding the examples fed since the last solve
 	SolveTime  time.Duration `json:"solve_time"`
 	VerifyTime time.Duration `json:"verify_time"`

@@ -8,6 +8,7 @@ import (
 
 	"parserhawk/internal/hw"
 	"parserhawk/internal/pir"
+	"parserhawk/internal/sim"
 )
 
 // randomSpec generates a small random loop-free parser specification:
@@ -111,9 +112,13 @@ func TestRandomSpecsCompileCorrectly(t *testing.T) {
 			if verr != nil {
 				t.Fatalf("spec %d: %v", i, verr)
 			}
-			if cex, found, _ := v.counterexample(res.Program); found {
+			if cex, found := v.counterexample(res.Program); found {
 				t.Fatalf("spec %d on %s: WRONG program on input %s\nspec:\n%s\nprogram:\n%s",
 					i, p.Name, cex, spec, res.Program)
+			}
+			if rep := sim.Check(spec, res.Program, 2000, 16, 0, int64(i)+100); !rep.OK() {
+				t.Fatalf("spec %d on %s: WRONG program (sim.Check): %s\nspec:\n%s\nprogram:\n%s",
+					i, p.Name, rep, spec, res.Program)
 			}
 			if err := p.Validate(res.Program); err != nil {
 				t.Fatalf("spec %d on %s: invalid program: %v", i, p.Name, err)
@@ -146,9 +151,13 @@ func TestRandomSpecsNarrowDevice(t *testing.T) {
 		if verr != nil {
 			t.Fatal(verr)
 		}
-		if cex, found, _ := v.counterexample(res.Program); found {
+		if cex, found := v.counterexample(res.Program); found {
 			t.Fatalf("spec %d: wrong after split on %s\nspec:\n%s\nprogram:\n%s",
 				i, cex, spec, res.Program)
+		}
+		if rep := sim.Check(spec, res.Program, 2000, 16, 0, int64(i)+100); !rep.OK() {
+			t.Fatalf("spec %d: wrong after split (sim.Check): %s\nspec:\n%s\nprogram:\n%s",
+				i, rep, spec, res.Program)
 		}
 	}
 }

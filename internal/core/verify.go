@@ -8,21 +8,21 @@ import (
 	"parserhawk/internal/tcam"
 )
 
-// verifier implements the CEGIS verification phase (§5.2) and the §7.1
-// correctness check: does the candidate implementation agree with the
-// specification on every input?
+// verifier is the CEGIS counterexample search (§5.2): does the candidate
+// implementation disagree with the specification on some input?
 //
-// When the input space is small enough the check is exhaustive (complete).
-// Otherwise it combines directed path coverage — inputs that steer the
-// specification through every transition rule — with uniform random
-// sampling, mirroring the paper's simulator-based validation (Figure 22).
+// When the input space is small enough the search is exhaustive.
+// Otherwise it runs directed path coverage — inputs that steer the
+// specification through every transition rule — then stochastic directed
+// walks, mirroring the paper's simulator-based validation (Figure 22).
+// Finding nothing is not a proof: runBudget proves a candidate the search
+// passes with cert.BuildWitness.
 //
 // A verifier belongs to one budget runner and is not safe for concurrent
 // use: its RNG, input buffer and registers are reused across calls.
 type verifier struct {
 	spec   *pir.Spec
 	low    *lowSpec
-	opts   Options
 	rng    *rand.Rand
 	maxLen int
 	budget int // interpreter iteration bound for equivalence runs
@@ -37,11 +37,18 @@ type verifier struct {
 	path               []int
 }
 
+// The search's two sizes: input spaces of at most exhaustiveBits bits are
+// enumerated; larger ones get directedWalks stochastic walks after the
+// directed suite.
+const (
+	exhaustiveBits = 16
+	directedWalks  = 1000
+)
+
 func newVerifier(spec *pir.Spec, opts Options, seed int64) (*verifier, error) {
 	v := &verifier{
 		spec: spec,
 		low:  lowerSpec(spec),
-		opts: opts,
 		rng:  rand.New(rand.NewSource(seed)),
 	}
 	// Input length: the longest path of a loop-free spec, or a few loop
@@ -106,11 +113,10 @@ func (v *verifier) differs(lp *lowProgram, in bitstream.Bits) bool {
 }
 
 // counterexample searches for an input on which prog and the spec
-// disagree. The boolean reports whether one was found; exhaustive reports
-// whether the search covered the whole (padded) input space.
-func (v *verifier) counterexample(prog *tcam.Program) (cex bitstream.Bits, found, exhaustive bool) {
-	cex, found, exhaustive, _ = v.counterexampleStop(prog, nil)
-	return cex, found, exhaustive
+// disagree. The boolean reports whether one was found.
+func (v *verifier) counterexample(prog *tcam.Program) (cex bitstream.Bits, found bool) {
+	cex, found, _ = v.counterexampleStop(prog, nil)
+	return cex, found
 }
 
 // counterexampleStop is counterexample with a cancellation hook: stop (when
@@ -121,28 +127,29 @@ func (v *verifier) counterexample(prog *tcam.Program) (cex bitstream.Bits, found
 // program when their sibling wins.
 //
 // Inputs are generated into one reused buffer, in an order and with RNG
-// draws fixed across releases (every counterexample, and so every SAT
-// query and program, depends on them); a returned counterexample is a copy.
-func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex bitstream.Bits, found, exhaustive, interrupted bool) {
+// draws fixed across releases up to the end of a search that finds
+// nothing (every counterexample, and so every SAT query and program,
+// depends on them); a returned counterexample is a copy.
+func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex bitstream.Bits, found, interrupted bool) {
 	lp := lowerProgram(prog, v.low)
 	stopped := func(i int) bool {
 		return stop != nil && i&63 == 0 && stop()
 	}
 	in := v.in
-	if v.maxLen <= v.opts.ExhaustiveVerifyBits {
+	if v.maxLen <= exhaustiveBits {
 		n := uint64(1) << uint(v.maxLen)
 		for x := uint64(0); x < n; x++ {
 			if stopped(int(x)) {
-				return nil, false, false, true
+				return nil, false, true
 			}
 			for i := range in {
 				in[i] = byte(x >> uint(v.maxLen-1-i) & 1)
 			}
 			if v.differs(lp, in) {
-				return in.Clone(), true, true, false
+				return in.Clone(), true, false
 			}
 		}
-		return nil, false, true, false
+		return nil, false, false
 	}
 	// Deterministic per-rule coverage first: one input per (path rule,
 	// state rule) combination. These catch wide-key mistakes that random
@@ -161,27 +168,18 @@ func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex
 		return true
 	})
 	if interrupted || cex != nil {
-		return cex, cex != nil, false, interrupted
+		return cex, cex != nil, interrupted
 	}
-	// Then stochastic directed walks and uniform random sampling.
-	for i := 0; i < v.opts.VerifySamples/2; i++ {
+	// Then stochastic directed walks.
+	for i := 0; i < directedWalks; i++ {
 		if stopped(i) {
-			return nil, false, false, true
+			return nil, false, true
 		}
 		if in := v.directedInput(); v.differs(lp, in) {
-			return in.Clone(), true, false, false
+			return in.Clone(), true, false
 		}
 	}
-	for i := 0; i < v.opts.VerifySamples/2; i++ {
-		if stopped(i) {
-			return nil, false, false, true
-		}
-		fillRandom(v.rng, in)
-		if v.differs(lp, in) {
-			return in.Clone(), true, false, false
-		}
-	}
-	return nil, false, false, false
+	return nil, false, false
 }
 
 // fillRandom overwrites in with uniformly random bits, drawing from rng

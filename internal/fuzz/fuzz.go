@@ -121,9 +121,9 @@ func (d *Divergence) String() string {
 }
 
 // Check compiles spec for cfg.Profile and drives the three oracles over
-// cfg.Packets inputs. maxIter is the loop budget handed to the compiler
-// and both interpreters (0 = defaults: the compiler unrolls loopy specs to
-// depth 4 on loop-free devices, the interpreters run DefaultMaxIterations).
+// cfg.Packets inputs. maxIter is the loop bound handed to the compiler
+// and to the unrolled contract (0 = default: depth 4 on loop-free
+// devices); the interpreters run at a budget no input can exhaust.
 // It returns a non-nil Divergence exactly when the outcome is Diverged; an
 // error reports infrastructure failure, never a divergence.
 func Check(cfg Config, spec *pir.Spec, maxIter int) (*Divergence, Outcome, error) {
@@ -195,17 +195,17 @@ func Check(cfg Config, spec *pir.Spec, maxIter int) (*Divergence, Outcome, error
 	}
 
 	// maxIter is the compile bound (loop depth / unroll depth), NOT the
-	// execution budget: pir.Run's budget counts total state visits, and an
-	// unrolled contract's paths are maxIter loop iterations *plus* the
-	// prologue states, so running it at budget maxIter would spuriously
-	// exhaust. Execute everything at the default budget, as sim does — it
-	// dominates every bounded path in the corpus.
-	const runIter = 0 // → pir.DefaultMaxIterations
-
-	maxLen := contract.MaxConsumedBits(runIter) + contract.LookaheadUse()
-	if n := spec.MaxConsumedBits(runIter) + spec.LookaheadUse(); n > maxLen {
+	// execution budget. Inputs are sized for pir.DefaultMaxIterations spec
+	// iterations, and every machine runs at a visit budget no input of
+	// that length can exhaust: one visit per bit plus the states and
+	// slack, the verifier's rule. A program may take several TCAM steps
+	// per spec iteration (a key split across chunk states), so at the
+	// spec's own budget it would reject where the spec accepts.
+	maxLen := contract.MaxConsumedBits(0) + contract.LookaheadUse()
+	if n := spec.MaxConsumedBits(0) + spec.LookaheadUse(); n > maxLen {
 		maxLen = n
 	}
+	runIter := maxLen + max(len(spec.States), len(contract.States), len(prog.States)) + 4
 	exhaustive := maxLen <= 22 && 1<<uint(maxLen) <= packets
 	if exhaustive {
 		packets = 1 << uint(maxLen)

@@ -200,6 +200,67 @@ func TestSplitKeyMaskRegression(t *testing.T) {
 	}
 }
 
+// TestLoopSplitKeyBudgetRegression pins two shrunk MPLS mutants the
+// fuzz-smoke campaign (seed 1, 200 mutants) reported on tofino-scaled. The
+// divergences were the oracle's: each spec loops on a 16-bit key that the
+// 12-bit key limit splits across two TCAM states, so the program takes
+// several steps per spec iteration, and at the spec's own visit budget it
+// rejected packets the spec accepts deep in the loop. Both programs are
+// correct (cert.BuildWitness proves them); every machine runs at a budget
+// no input of the campaign's length can exhaust. At each packet seed and
+// count below, a 64-visit budget reports the divergence.
+func TestLoopSplitKeyBudgetRegression(t *testing.T) {
+	for _, tc := range []struct {
+		src     string
+		seed    int64
+		packets int
+	}{
+		{`
+header ethernet {
+    bit<48> dst;
+    bit<48> src;
+    bit<16> etherType;
+}
+parser MPLS_mut {
+    state start {
+        extract(ethernet);
+        transition select(ethernet.etherType) {
+            0x8847 : accept;
+            default : start;
+        }
+    }
+}`, 3, 500},
+		{`
+header ethernet {
+    bit<48> src;
+    bit<16> etherType;
+}
+parser MPLS_mut {
+    state start {
+        extract(ethernet);
+        transition select(ethernet.etherType) {
+            0xc847 : accept;
+            default : start;
+        }
+    }
+}`, 1, 400},
+	} {
+		spec, err := p4.ParseSpec(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(tables.TofinoScaled())
+		cfg.Packets, cfg.Seed = tc.packets, tc.seed
+		d, out, err := Check(cfg, spec, 4) // hawkfuzz's bound for loopy file seeds
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != nil || out != OK {
+			t.Errorf("outcome=%v divergence=%v", out, d)
+		}
+	}
+}
+
 func TestMutateDeterministicAndClean(t *testing.T) {
 	seed := benchdata.FuzzSemanticsFixture()
 	a := rand.New(rand.NewSource(42))

@@ -66,7 +66,6 @@ func testOpts() core.Options {
 	o := core.DefaultOptions()
 	o.Workers = 1
 	o.Opt7Parallelism = false
-	o.VerifySamples = 200
 	return o
 }
 

@@ -606,9 +606,12 @@ func (s *Server) compileOutcome(ctx context.Context, spec *pir.Spec, profile hw.
 		}
 		out.cacheable = true
 		// Certificate gate: an ok verdict whose certificate fails the
-		// independent checker is still served (the CEGIS verifier vouched
-		// for it) but never cached — a cache must not launder an
-		// unverifiable result into many responses.
+		// independent checker is still served but never cached — a cache
+		// must not launder an unverifiable result into many responses.
+		// The compile refuses every program the witness walk refutes, so
+		// such a result is one the walk could not decide (its
+		// configuration limit, say) and only the sampled search vouched
+		// for.
 		s.certChecked.inc()
 		if res.Certificate == nil {
 			s.certFailed.inc()
