@@ -420,3 +420,105 @@ func TestBlockForbidsProgram(t *testing.T) {
 		}
 	}
 }
+
+// TestForbiddenTargetsFoldToFalse checks that newSynthesizer encodes every
+// transition target the device or the skeleton forbids as the constant
+// false literal, so bv's folding drops the circuits behind it, and every
+// other target as a free variable: a backward jump is forbidden on a
+// forward-only skeleton, and under Opt4 a key-split continuation chunk is
+// enterable only from the chunk before it.
+func TestForbiddenTargetsFoldToFalse(t *testing.T) {
+	build := func(spec *pir.Spec, profile hw.Profile, opts Options, skName string) *synthesizer {
+		t.Helper()
+		sks, eff, err := buildSkeletons(spec, profile, opts, opts.MaxIterations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sks {
+			if sks[i].Name == skName {
+				return newSynthesizer(eff, &sks[i], profile, opts)
+			}
+		}
+		t.Fatalf("%s on %s: no %s skeleton", spec.Name, profile.Name, skName)
+		return nil
+	}
+	bench := func(name string) *pir.Spec {
+		t.Helper()
+		b, ok := benchdata.ByName(name)
+		if !ok {
+			t.Fatalf("benchmark %q not in the suite", name)
+		}
+		return b.Spec
+	}
+	// check wants nextSel[t] of each entry of state si free when
+	// free(si, t) and constant false otherwise, never constant true.
+	check := func(label string, sy *synthesizer, free func(si, t int) bool) {
+		t.Helper()
+		s := sy.s
+		for si, evs := range sy.entries {
+			for _, ev := range evs {
+				for tg, l := range ev.nextSel {
+					if l == s.True() {
+						t.Errorf("%s: state %d target %d is constant true", label, si, tg)
+					}
+					if folded := l == s.False(); folded == free(si, tg) {
+						t.Errorf("%s: state %d target %d: constant false %v, want %v", label, si, tg, folded, !folded)
+					}
+				}
+			}
+		}
+	}
+
+	// A pipelined device: forward targets only; accept and reject always.
+	sy := build(fig3Spec(t), hw.IPU(), DefaultOptions(), "base")
+	if sy.sk.Loopy {
+		t.Fatal("fig3 on ipu: loopy skeleton")
+	}
+	n := len(sy.sk.States)
+	forward := func(si, t int) bool { return t >= n || t > si }
+	check("fig3@ipu", sy, forward)
+
+	// A loopy skeleton on a single-table device allows every target.
+	sy = build(bench("Parse MPLS"), hw.Tofino(), DefaultOptions(), "base")
+	if !sy.sk.Loopy {
+		t.Fatal("Parse MPLS on tofino: forward-only skeleton")
+	}
+	check("Parse MPLS@tofino", sy, func(int, int) bool { return true })
+
+	// A key-split skeleton: tofino with the evaluation's 12-bit key limit.
+	scaled := hw.Tofino()
+	scaled.Name, scaled.KeyLimit = "tofino-scaled", 12
+	split := bench("Large tran key")
+	sy = build(split, scaled, DefaultOptions(), "key-split")
+	sk := sy.sk
+	n = len(sk.States)
+	fromPredecessor := func(si, t int) bool {
+		from, to := &sk.States[si], &sk.States[t]
+		return from.ChainGroup == to.ChainGroup && from.ChainLevel == to.ChainLevel-1
+	}
+	gated := 0 // forward jumps into a continuation chunk, not from its predecessor
+	for si := range sk.States {
+		for tg := si + 1; tg < n; tg++ {
+			if sk.States[tg].ChainLevel > 0 && !fromPredecessor(si, tg) {
+				gated++
+			}
+		}
+	}
+	if gated == 0 {
+		t.Fatal("Large tran key on tofino-scaled: no continuation chunk to gate")
+	}
+	check("Large tran key@tofino-scaled", sy, func(si, t int) bool {
+		if t < n && sk.States[t].ChainLevel > 0 && !fromPredecessor(si, t) {
+			return false
+		}
+		return forward(si, t)
+	})
+
+	// The naive encoding searches without the chain knowledge: only the
+	// forward rule applies, so those gated jumps stay free.
+	sy = build(split, scaled, NaiveOptions(), "key-split")
+	if len(sy.sk.States) != n {
+		t.Fatalf("naive key-split skeleton has %d states, want %d", len(sy.sk.States), n)
+	}
+	check("Large tran key@tofino-scaled naive", sy, forward)
+}

@@ -125,31 +125,24 @@ func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Optio
 				ev.value = sy.s.NewBV(ss.KeyWidth)
 				ev.mask = sy.s.NewBV(ss.KeyWidth)
 			}
+			// Targets the device or the skeleton forbids are constant
+			// false, so bv's folding drops every gate and configuration
+			// behind them; only the allowed ones are variables.
 			ev.nextSel = make([]bv.Lit, sy.targets)
+			var allowed []bv.Lit
 			for t := range ev.nextSel {
+				if !targetAllowed(sk, si, t, opts) {
+					ev.nextSel[t] = sy.s.False()
+					continue
+				}
 				ev.nextSel[t] = sy.s.NewLit()
+				allowed = append(allowed, ev.nextSel[t])
 			}
-			sy.s.ExactlyOne(ev.nextSel)
+			sy.s.ExactlyOne(allowed)
 			if ss.OptionalExtract {
 				ev.doExtract = sy.s.NewLit()
 			} else {
 				ev.doExtract = sy.s.True()
-			}
-			// Architectural and structural target restrictions: pipelined
-			// devices move strictly forward; key-split continuation chunks
-			// are only enterable from the previous chunk of their chain
-			// (the chain knowledge comes from the §6.4.3 analysis, so the
-			// naive mode searches without it).
-			for t := 0; t < len(sk.States); t++ {
-				tgt := &sk.States[t]
-				allowed := sk.Loopy || t > si
-				if opts.Opt4ConstantSynthesis && tgt.ChainLevel > 0 &&
-					!(ss.ChainGroup == tgt.ChainGroup && ss.ChainLevel == tgt.ChainLevel-1) {
-					allowed = false
-				}
-				if !allowed {
-					sy.s.Assert(ev.nextSel[t].Not())
-				}
 			}
 			allEnabled = append(allEnabled, ev.enabled)
 			evs = append(evs, ev)
@@ -169,6 +162,24 @@ func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Optio
 	// re-bit-blasting the instance.
 	sy.ladder = sy.s.CountLadder(allEnabled)
 	return sy
+}
+
+// targetAllowed reports whether an entry of skeleton state si may
+// transition to target t: accept and reject always; a skeleton state
+// only forward unless the skeleton is loopy (pipelined devices move
+// strictly forward), and a key-split continuation chunk only from the
+// previous chunk of its chain (the chain knowledge comes from the §6.4.3
+// analysis, so the naive mode searches without it).
+func targetAllowed(sk *skeleton, si, t int, opts Options) bool {
+	if t >= len(sk.States) {
+		return true
+	}
+	from, tgt := &sk.States[si], &sk.States[t]
+	if opts.Opt4ConstantSynthesis && tgt.ChainLevel > 0 &&
+		!(from.ChainGroup == tgt.ChainGroup && from.ChainLevel == tgt.ChainLevel-1) {
+		return false
+	}
+	return sk.Loopy || t > si
 }
 
 // solveAt runs the SAT search for one entry-budget rung under the single

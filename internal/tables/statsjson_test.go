@@ -100,8 +100,10 @@ func TestCheckedInBaselineDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 60 {
-		t.Errorf("baseline holds %d records, want 60", len(runs))
+	// Full Table 3: 38 benchmarks on the three scaled devices plus 6
+	// wire-scale benchmarks on the three full ones.
+	if len(runs) != 132 {
+		t.Errorf("baseline holds %d records, want 132", len(runs))
 	}
 }
 
