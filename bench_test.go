@@ -109,7 +109,7 @@ func BenchmarkTable3Orig(b *testing.B) {
 // DPParserGen under parameterized hardware.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := tables.Table4(2 * time.Minute)
+		rows := tables.Table4(tables.Config{OptTimeout: 2 * time.Minute})
 		for _, r := range rows {
 			if r.PHErr != "" || r.DPErr != "" {
 				b.Fatalf("%s: %s %s", r.Name, r.PHErr, r.DPErr)

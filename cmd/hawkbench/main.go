@@ -43,7 +43,6 @@ func main() {
 		statsOut    = flag.String("stats", "", "write per-run solver statistics as JSON to this file (\"-\" for stdout)")
 		workers     = flag.Int("workers", 0, "portfolio goroutines inside each compilation (0 = GOMAXPROCS, 1 = sequential compiler)")
 		memoDir     = flag.String("memo-dir", "", "persist the cross-compile memo under this directory (warm-starts later runs)")
-		noMemo      = flag.Bool("no-memo", false, "disable the cross-compile memo even when -memo-dir is set")
 		alias       = flag.Bool("alias", false, "run Table 3 over the field/state-renamed alias corpus (memo hit-rate measurement)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
@@ -88,7 +87,7 @@ func main() {
 	if *statsOut != "" {
 		cfg.StatsSink = func(r tables.RunStats) { runs = append(runs, r) }
 	}
-	if *memoDir != "" && !*noMemo {
+	if *memoDir != "" {
 		mc, err := memo.Open(*memoDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -127,7 +126,7 @@ func main() {
 	if *all || *table == 4 {
 		did = true
 		fmt.Println("== Table 4: ParserHawk vs DPParserGen (motivating examples) ==")
-		fmt.Print(tables.FormatTable4(tables.Table4(cfg.OptTimeout)))
+		fmt.Print(tables.FormatTable4(tables.Table4(cfg)))
 		fmt.Println()
 	}
 	if *all || *table == 5 {

@@ -63,7 +63,6 @@ func main() {
 		compileTimeout = flag.Duration("compile-timeout", 5*time.Minute, "server-side bound on a single compilation")
 		workers        = flag.Int("workers", 0, "portfolio worker tokens shared across requests (0 = GOMAXPROCS)")
 		memoDir        = flag.String("memo-dir", "", "persist the cross-compile memo under this directory (survives restarts)")
-		noMemo         = flag.Bool("no-memo", false, "disable the cross-compile memo even when -memo-dir is set")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -80,7 +79,7 @@ func main() {
 		CompileTimeout: *compileTimeout,
 		Workers:        *workers,
 	}
-	if *memoDir != "" && !*noMemo {
+	if *memoDir != "" {
 		mc, err := memo.Open(*memoDir)
 		if err != nil {
 			log.Fatalf("hawkd: %v", err)

@@ -64,9 +64,8 @@ func main() {
 		dimacsDir  = flag.String("dimacs", "", "directory to write the compile's hardest SAT query as DIMACS CNF")
 		certOut    = flag.String("cert", "", "write a compilation certificate (bisimulation witness, plus the -proof bundle when enabled) to this file")
 		proofOut   = flag.String("proof", "", "enable DRAT proof logging and write the hardest UNSAT query's proof to this file (its CNF lands alongside as <file>.cnf)")
-		workers    = flag.Int("workers", 0, "portfolio goroutines for skeleton ladders (0 = GOMAXPROCS, 1 = sequential)")
+		workers    = flag.Int("workers", 0, "portfolio goroutines for skeleton ladders (0 = the mode's preset: GOMAXPROCS, or 1 with -naive; 1 = sequential)")
 		memoDir    = flag.String("memo-dir", "", "persist the cross-compile memo under this directory (warm-starts later compiles)")
-		noMemo     = flag.Bool("no-memo", false, "disable the cross-compile memo even when -memo-dir is set")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the compilation to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
@@ -125,7 +124,9 @@ func main() {
 	}
 	opts.Timeout = *timeout
 	opts.MaxIterations = *maxIter
-	opts.Workers = *workers
+	if *workers > 0 {
+		opts.Workers = *workers
+	}
 
 	// -dimacs / -proof: keep the most-conflicted query any budget rung
 	// reports and write it out after compilation — even a failed one, since
@@ -170,7 +171,7 @@ func main() {
 
 	start := time.Now()
 	var res *parserhawk.Result
-	if *memoDir != "" && !*noMemo {
+	if *memoDir != "" {
 		mc, merr := memo.Open(*memoDir)
 		if merr != nil {
 			fmt.Fprintln(os.Stderr, merr)

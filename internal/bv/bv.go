@@ -57,6 +57,15 @@ type Metrics struct {
 	ConsHits int64 `json:"cons_hits"`
 }
 
+// Add accumulates another snapshot into m, the CDCL counters and the
+// bit-blasting layer's alike (for totals over the many solvers a
+// compilation creates).
+func (m *Metrics) Add(o Metrics) {
+	m.Metrics.Add(o.Metrics)
+	m.Gates += o.Gates
+	m.ConsHits += o.ConsHits
+}
+
 // Metrics snapshots the solver's cumulative counters.
 func (s *Solver) Metrics() Metrics {
 	return Metrics{Metrics: s.SAT.Metrics(), Gates: s.gates, ConsHits: s.consHits}

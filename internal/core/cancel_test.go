@@ -79,7 +79,6 @@ type cancelMode struct {
 // as canceled instead of starting ladders.
 func cancelModes() []cancelMode {
 	parallel := NaiveOptions()
-	parallel.Opt7Parallelism = true
 	parallel.Workers = 4
 	return []cancelMode{{"naive-1-worker", NaiveOptions()}, {"naive-4-workers", parallel}}
 }

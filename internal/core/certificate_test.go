@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,8 @@ import (
 	"parserhawk/internal/cert"
 	"parserhawk/internal/core"
 	"parserhawk/internal/hw"
+	"parserhawk/internal/p4"
+	"parserhawk/internal/sim"
 	"parserhawk/internal/tables"
 )
 
@@ -156,5 +159,56 @@ func TestCertificateMutationsFail(t *testing.T) {
 		if m.Cert.SelfCheck() == nil {
 			t.Errorf("mutation %s passed the checker", m.Name)
 		}
+	}
+}
+
+// lookaheadLoopSpec loops on start, which consumes nothing, until the
+// lookahead byte differs from 0x01. h.t is in no transition key, so Opt2
+// scales it to 1 bit, and the witness walk cannot decide the loop: every
+// pass through start is a zero-progress cycle.
+const lookaheadLoopSpec = `
+header h { bit<8> t; }
+parser Z {
+    state start {
+        transition select(lookahead<bit<8>>()) { 0x01 : start; default : body; }
+    }
+    state body { extract(h); transition accept; }
+}
+`
+
+// TestUndecidedWalkAfterScalingMisled pins the acceptance branch no
+// benchmark reaches: an undecided walk. The walk does not prove the Opt2
+// ladder's full-width program, so the skeleton falls back to an unscaled
+// ladder (errScalingMisled, as Table 4's ME-2 also does); there the walk
+// can neither prove nor refute the candidate, and the counterexample
+// search's verdict stands. The result is correct on every input, and its
+// certificate records why it carries no witness.
+func TestUndecidedWalkAfterScalingMisled(t *testing.T) {
+	spec, err := p4.ParseSpec(lookaheadLoopSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := tables.TofinoScaled()
+	opts := core.DefaultOptions()
+	opts.Workers = 1
+	opts.EmitCertificate = true
+	res, err := core.Compile(spec, profile, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resources.Entries != 3 {
+		t.Errorf("entries %d, want 3:\n%s", res.Resources.Entries, res.Program)
+	}
+	const want = `zero-progress cycle through spec state "start"`
+	if c := res.Certificate; c == nil || !strings.Contains(c.Error, want) {
+		t.Errorf("certificate %+v: want a witness failure containing %q", c, want)
+	}
+	eff, err := core.EffectiveSpec(spec, profile, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := sim.Check(eff, res.Program, 0, 16, 0, 1)
+	if !rep.OK() || !rep.Exhaustive || rep.Checked != 1<<16 {
+		t.Errorf("sim.Check: %s, want equivalent on all 65536 inputs", rep)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"parserhawk/internal/bitstream"
-	"parserhawk/internal/bv"
 	"parserhawk/internal/cert"
 	"parserhawk/internal/hw"
 	"parserhawk/internal/lint"
@@ -187,20 +186,16 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 	// §6.7 as a bounded portfolio: skeletons form a work queue drained by
 	// the resolved worker count, each worker running one skeleton's ladder
 	// at a time (see portfolio.go for why every scheduler action is
-	// schedule-invariant). Without Opt7 the same scheduler runs on the
+	// schedule-invariant). With one worker the same scheduler runs on the
 	// caller's goroutine alone. Results come back in skeleton-index order,
 	// so the reduction below resolves ties identically at every worker
 	// count.
-	workers := 1
-	if opts.Opt7Parallelism {
-		workers = effectiveWorkers(opts)
-	}
 	var outs []attemptOut
 	outs, stats.Portfolio = runPortfolio(ctx, portfolioInput{
 		spec: spec, effOrig: effOrig, effSynth: effSynth,
 		origSks: origSks, synthSks: synthSks,
 		profile: profile, opts: opts,
-		workers:          workers,
+		workers:          effectiveWorkers(opts),
 		provablyCheapest: provablyCheapest,
 	})
 
@@ -484,37 +479,15 @@ func (eng *skeletonEngine) runLadder(ctx context.Context) (*Result, SolverStats,
 		if errors.Is(err, errBudgetTooSmall) {
 			continue
 		}
-		st.Solver.Add(solverSnapshot(sy.s))
+		st.Solver.Add(sy.s.Metrics())
 		if err != nil {
 			return nil, st.Solver, err
 		}
 		res.Stats = st
 		return res, st.Solver, nil
 	}
-	st.Solver.Add(solverSnapshot(sy.s))
+	st.Solver.Add(sy.s.Metrics())
 	return nil, st.Solver, ErrNoSolution
-}
-
-// solverSnapshot converts the bit-blasting layer's counters into the
-// public SolverStats shape.
-func solverSnapshot(s *bv.Solver) SolverStats {
-	m := s.Metrics()
-	return SolverStats{
-		Solves:          m.Solves,
-		Decisions:       m.Decisions,
-		Propagations:    m.Propagations,
-		Conflicts:       m.Conflicts,
-		LearnedClauses:  m.LearnedClauses,
-		LearnedLiterals: m.LearnedLiterals,
-		Restarts:        m.Restarts,
-		Clauses:         m.Clauses,
-		Gates:           m.Gates,
-		Vars:            m.Vars,
-		RetainedClauses: m.RetainedLearnts,
-		ConsHits:        m.ConsHits,
-		BinPropagations: m.BinPropagations,
-		GlueLearnts:     m.GlueLearnts,
-	}
 }
 
 // runBudget runs the CEGIS loop at one entry budget in env over the
@@ -602,7 +575,7 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			Status:     status.String(),
 			EncodeTime: encodeTime,
 			SolveTime:  solveTime,
-			Solver:     solverSnapshot(sy.s),
+			Solver:     sy.s.Metrics(),
 		}
 		if status == sat.Unsat {
 			st.Iterations = append(st.Iterations, iter)

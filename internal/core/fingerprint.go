@@ -30,9 +30,8 @@ import "fmt"
 // (equally cheap) entry tables.
 func (o Options) Fingerprint() string {
 	return fmt.Sprintf(
-		"opts2=%t,4=%t,5=%t,7=%t;unroll=%d;budget=%d;skiplint=%t;seed=%d",
+		"opts2=%t,4=%t,5=%t;unroll=%d;budget=%d;skiplint=%t;seed=%d",
 		o.Opt2BitWidthMin, o.Opt4ConstantSynthesis, o.Opt5KeyGrouping,
-		o.Opt7Parallelism,
 		o.MaxIterations, o.MaxBudget,
 		o.SkipLint, o.Seed,
 	)

@@ -13,9 +13,8 @@ import (
 func TestOptionsFingerprint(t *testing.T) {
 	included := map[string]bool{
 		"Opt2BitWidthMin": true, "Opt4ConstantSynthesis": true,
-		"Opt5KeyGrouping": true, "Opt7Parallelism": true,
-		"MaxIterations": true, "MaxBudget": true,
-		"SkipLint": true, "Seed": true,
+		"Opt5KeyGrouping": true, "MaxIterations": true,
+		"MaxBudget": true, "SkipLint": true, "Seed": true,
 	}
 	excluded := map[string]bool{
 		"Workers": true, "Timeout": true, "QuerySink": true,

@@ -6,17 +6,23 @@
 // solver (internal/bv) to concretize the symbolic TCAM entries of a parser
 // skeleton; the back end post-optimizes and emits a tcam.Program.
 //
-// Options toggles the §6 optimizations that change the search — Opt2, Opt4,
-// Opt5 and Opt7 — so the evaluation harness can reproduce the paper's
-// ablations (Tables 3 and 5). The other three are how the encoding works
-// in both modes: transition keys are the spec's own keys realized at
-// cursor-relative offsets (realizeKey, §6.1), extraction is preallocated
-// per skeleton state (§6.3), and varbit widths are resolved per example
-// (stateWidth, §6.6). The paper's Orig mode therefore differs from OPT
-// here in Opt2/4/5/7 and the SpecLint pre-pass only.
+// Options toggles the §6 optimizations that change the search — Opt2, Opt4
+// and Opt5 — so the evaluation harness can reproduce the paper's ablations
+// (Tables 3 and 5). Opt7, the parallel portfolio, is Workers: every width
+// gives the same outcome, so it is a speed setting, not a toggle. The
+// other three are how the encoding works in both modes: transition keys
+// are the spec's own keys realized at cursor-relative offsets (realizeKey,
+// §6.1), extraction is preallocated per skeleton state (§6.3), and varbit
+// widths are resolved per example (stateWidth, §6.6). The paper's Orig
+// mode therefore differs from OPT here in Opt2/4/5, one worker and the
+// SpecLint pre-pass only.
 package core
 
-import "time"
+import (
+	"time"
+
+	"parserhawk/internal/bv"
+)
 
 // Options configures a compilation. The zero value enables nothing; use
 // DefaultOptions (all toggles on, as in the paper's OPT rows) or
@@ -32,10 +38,6 @@ type Options struct {
 	// Opt5 groups contiguous bits of one field into indivisible key units
 	// (§6.5).
 	Opt5KeyGrouping bool
-	// Opt7 runs the alternative structural subproblems (skeletons) in
-	// parallel on Workers goroutines (§6.7). Off, the same portfolio runs
-	// on the caller's goroutine alone.
-	Opt7Parallelism bool
 
 	// Timeout bounds the total compilation time; zero means no limit.
 	// The paper uses 24 h; the scaled harness uses seconds.
@@ -51,7 +53,9 @@ type Options struct {
 	// per spec rule plus defaults).
 	MaxBudget int
 
-	// Workers bounds Opt7's parallel subproblems. Zero means GOMAXPROCS.
+	// Workers is how many goroutines run Opt7's alternative structural
+	// subproblems (skeletons) in parallel (§6.7). Zero means GOMAXPROCS;
+	// 1 runs the same portfolio on the caller's goroutine alone.
 	Workers int
 
 	// SkipLint disables the SpecLint pre-pass: no diagnostics, no
@@ -90,23 +94,23 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's OPT configuration: every optimization
-// toggle enabled.
+// toggle enabled and the portfolio on GOMAXPROCS workers.
 func DefaultOptions() Options {
 	return Options{
 		Opt2BitWidthMin:       true,
 		Opt4ConstantSynthesis: true,
 		Opt5KeyGrouping:       true,
-		Opt7Parallelism:       true,
 		Seed:                  1,
 	}
 }
 
 // NaiveOptions returns the paper's Orig configuration: the plain synthesis
-// encoding with every optimization toggle and the SpecLint pre-pass
-// disabled. Expect timeouts on all but the smallest inputs — that
+// encoding on one worker, with every optimization toggle and the SpecLint
+// pre-pass disabled. Expect timeouts on all but the smallest inputs — that
 // observation is the paper's Table 3.
 func NaiveOptions() Options {
 	return Options{
+		Workers:  1,
 		Seed:     1,
 		SkipLint: true,
 	}
@@ -163,58 +167,12 @@ type Stats struct {
 	Iterations []IterationStats `json:"iterations,omitempty"`
 }
 
-// SolverStats aggregates solver-level search counters (§6's cost model made
-// observable): CDCL decisions, conflicts, propagations, learned clauses and
-// restarts, plus the bit-blasting layer's CNF size in clauses, Tseitin
-// gates, and variables.
-type SolverStats struct {
-	Solves          int64 `json:"solves"` // Solve calls issued
-	Decisions       int64 `json:"decisions"`
-	Propagations    int64 `json:"propagations"`
-	Conflicts       int64 `json:"conflicts"`
-	LearnedClauses  int64 `json:"learned_clauses"`
-	LearnedLiterals int64 `json:"learned_literals"`
-	Restarts        int64 `json:"restarts"`
-	Clauses         int64 `json:"clauses"` // bit-blasted problem clauses
-	Gates           int64 `json:"gates"`   // Tseitin gates materialized
-	Vars            int64 `json:"vars"`    // CNF variables allocated
-
-	// RetainedClauses sums, over every Solve call, the learned clauses
-	// alive when the call started — CDCL work reused from earlier calls in
-	// the same solver rather than re-derived: what the persistent clause
-	// database was worth.
-	RetainedClauses int64 `json:"retained_clauses"`
-	// ConsHits counts gate constructions the bit-blaster's hash-cons
-	// table answered without emitting CNF — duplicate subcircuits (mostly
-	// repeated counterexample circuitry) that were deduplicated.
-	ConsHits int64 `json:"cons_hits"`
-	// BinPropagations counts implications served by the solver's binary
-	// implication lists — propagations that never touched the clause arena.
-	// The ratio to Propagations measures how binary-heavy the Tseitin
-	// encodings are in practice.
-	BinPropagations int64 `json:"bin_propagations"`
-	// GlueLearnts counts learnt clauses with literal block distance ≤ 2 at
-	// learning time; the solver's reduceDB never deletes them.
-	GlueLearnts int64 `json:"glue_learnts"`
-}
-
-// Add accumulates another snapshot into s.
-func (s *SolverStats) Add(o SolverStats) {
-	s.Solves += o.Solves
-	s.Decisions += o.Decisions
-	s.Propagations += o.Propagations
-	s.Conflicts += o.Conflicts
-	s.LearnedClauses += o.LearnedClauses
-	s.LearnedLiterals += o.LearnedLiterals
-	s.Restarts += o.Restarts
-	s.Clauses += o.Clauses
-	s.Gates += o.Gates
-	s.Vars += o.Vars
-	s.RetainedClauses += o.RetainedClauses
-	s.ConsHits += o.ConsHits
-	s.BinPropagations += o.BinPropagations
-	s.GlueLearnts += o.GlueLearnts
-}
+// SolverStats is the bit-blasting solver's own counters (§6's cost model
+// made observable): CDCL decisions, conflicts, propagations, learned
+// clauses and restarts, plus the CNF size in clauses, Tseitin gates and
+// variables. Stats.Solver sums them with Add over every solver a compile
+// ran.
+type SolverStats = bv.Metrics
 
 // PortfolioStats reports what the parallel portfolio scheduler did during
 // one compilation. The scheduler only ever acts on schedule-invariant facts

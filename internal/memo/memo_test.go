@@ -65,7 +65,6 @@ func aliasSpec(t *testing.T) *pir.Spec {
 func testOpts() core.Options {
 	o := core.DefaultOptions()
 	o.Workers = 1
-	o.Opt7Parallelism = false
 	return o
 }
 

@@ -113,9 +113,9 @@ func TestPerCallDeltaAndRetention(t *testing.T) {
 		if d.Solves != 1 {
 			t.Errorf("call %d: delta.Solves=%d want 1", call, d.Solves)
 		}
-		if d.RetainedLearnts != live {
-			t.Errorf("call %d: delta.RetainedLearnts=%d, %d learnts were live at entry",
-				call, d.RetainedLearnts, live)
+		if d.RetainedClauses != live {
+			t.Errorf("call %d: delta.RetainedClauses=%d, %d learnts were live at entry",
+				call, d.RetainedClauses, live)
 		}
 		after := s.Metrics()
 		if after.Solves != before.Solves+1 {
@@ -129,8 +129,8 @@ func TestPerCallDeltaAndRetention(t *testing.T) {
 	if m.Solves != solvedCalls {
 		t.Errorf("Metrics.Solves=%d want %d", m.Solves, solvedCalls)
 	}
-	if m.RetainedLearnts != retainedWant {
-		t.Errorf("Metrics.RetainedLearnts=%d want %d", m.RetainedLearnts, retainedWant)
+	if m.RetainedClauses != retainedWant {
+		t.Errorf("Metrics.RetainedClauses=%d want %d", m.RetainedClauses, retainedWant)
 	}
 	if m.LearnedClauses == 0 {
 		t.Error("instance was built to force clause learning, but none recorded")
@@ -141,9 +141,9 @@ func TestPerCallDeltaAndRetention(t *testing.T) {
 // field, so per-rung deltas reconstruct session totals without drift.
 func TestMetricsSubInvertsAdd(t *testing.T) {
 	a := Metrics{Decisions: 10, Propagations: 20, Conflicts: 3, LearnedClauses: 2,
-		LearnedLiterals: 7, Restarts: 1, Solves: 4, RetainedLearnts: 5}
+		LearnedLiterals: 7, Restarts: 1, Solves: 4, RetainedClauses: 5}
 	b := Metrics{Decisions: 4, Propagations: 8, Conflicts: 1, LearnedClauses: 1,
-		LearnedLiterals: 2, Restarts: 0, Solves: 2, RetainedLearnts: 3}
+		LearnedLiterals: 2, Restarts: 0, Solves: 2, RetainedClauses: 3}
 	sum := a
 	sum.Add(b)
 	if got := sum.Sub(a); got != b {

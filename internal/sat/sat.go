@@ -174,10 +174,9 @@ type Solver struct {
 	clausesN   int64
 	ticks      int64
 	solvesN    int64
-	retainedN  int64 // Σ over Solve calls of learned clauses alive at entry
-	glueN      int64 // learnt clauses with LBD ≤ 2 at learning time
-	binLearntN int64 // learnt binary clauses (kept forever, off-arena)
-	lbdHist    [8]int64
+	retainedN  int64   // Σ over Solve calls of learned clauses alive at entry
+	glueN      int64   // learnt clauses with LBD ≤ 2 at learning time
+	binLearntN int64   // learnt binary clauses (kept forever, off-arena)
 	lastDelta  Metrics // counter movement of the most recent Solve call
 
 	// Cancel, when non-nil, is polled periodically; returning true aborts
@@ -265,21 +264,18 @@ type Metrics struct {
 	Clauses         int64 `json:"clauses"`
 	Vars            int64 `json:"vars"`
 	Solves          int64 `json:"solves"`
-	// RetainedLearnts sums, over every Solve call, the learned clauses that
+	// RetainedClauses sums, over every Solve call, the learned clauses that
 	// were alive in the database when the call started — search work carried
 	// over from earlier calls instead of re-derived. A solver that is rebuilt
 	// for every query always reports zero; an incremental session reports how
 	// much the persistent clause database was worth.
-	RetainedLearnts int64 `json:"retained_learnts"`
+	RetainedClauses int64 `json:"retained_clauses"`
 	// BinPropagations counts implications served by the binary implication
 	// lists — propagations that never touched the clause arena.
 	BinPropagations int64 `json:"bin_propagations"`
 	// GlueLearnts counts learnt clauses whose LBD at learning time was ≤ 2
 	// ("glue" clauses, exempt from deletion forever).
 	GlueLearnts int64 `json:"glue_learnts"`
-	// LBDHist buckets learnt clauses by LBD at learning time: index i holds
-	// LBD i+1 for i < 7, and the last bucket holds LBD ≥ 8.
-	LBDHist [8]int64 `json:"lbd_hist"`
 }
 
 // Add accumulates another snapshot into m (for aggregating across the
@@ -294,19 +290,16 @@ func (m *Metrics) Add(o Metrics) {
 	m.Clauses += o.Clauses
 	m.Vars += o.Vars
 	m.Solves += o.Solves
-	m.RetainedLearnts += o.RetainedLearnts
+	m.RetainedClauses += o.RetainedClauses
 	m.BinPropagations += o.BinPropagations
 	m.GlueLearnts += o.GlueLearnts
-	for i := range m.LBDHist {
-		m.LBDHist[i] += o.LBDHist[i]
-	}
 }
 
 // Sub returns the counter movement from an earlier snapshot o to m. All
 // fields are monotone over a solver's lifetime, so the result is the exact
 // effort spent between the two snapshots.
 func (m Metrics) Sub(o Metrics) Metrics {
-	out := Metrics{
+	return Metrics{
 		Decisions:       m.Decisions - o.Decisions,
 		Propagations:    m.Propagations - o.Propagations,
 		Conflicts:       m.Conflicts - o.Conflicts,
@@ -316,14 +309,10 @@ func (m Metrics) Sub(o Metrics) Metrics {
 		Clauses:         m.Clauses - o.Clauses,
 		Vars:            m.Vars - o.Vars,
 		Solves:          m.Solves - o.Solves,
-		RetainedLearnts: m.RetainedLearnts - o.RetainedLearnts,
+		RetainedClauses: m.RetainedClauses - o.RetainedClauses,
 		BinPropagations: m.BinPropagations - o.BinPropagations,
 		GlueLearnts:     m.GlueLearnts - o.GlueLearnts,
 	}
-	for i := range out.LBDHist {
-		out.LBDHist[i] = m.LBDHist[i] - o.LBDHist[i]
-	}
-	return out
 }
 
 // Metrics returns the solver's cumulative counters.
@@ -338,10 +327,9 @@ func (s *Solver) Metrics() Metrics {
 		Clauses:         s.clausesN,
 		Vars:            int64(len(s.assign)),
 		Solves:          s.solvesN,
-		RetainedLearnts: s.retainedN,
+		RetainedClauses: s.retainedN,
 		BinPropagations: s.binPropsN,
 		GlueLearnts:     s.glueN,
-		LBDHist:         s.lbdHist,
 	}
 }
 
@@ -833,14 +821,6 @@ func (s *Solver) analyze(confl cref) ([]Lit, int, int) {
 func (s *Solver) record(learned []Lit, lbd int) {
 	s.learnedN++
 	s.learnedLN += int64(len(learned))
-	b := lbd
-	if b < 1 {
-		b = 1
-	}
-	if b > len(s.lbdHist) {
-		b = len(s.lbdHist)
-	}
-	s.lbdHist[b-1]++
 	if lbd <= 2 {
 		s.glueN++
 	}

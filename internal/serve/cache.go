@@ -6,7 +6,7 @@ import (
 )
 
 // lruCache is the content-addressed result cache: completed, deterministic
-// compile outcomes keyed by the (canonical spec, profile, options
+// compile outcomes keyed by the (parsed spec, profile, options
 // fingerprint) hash, bounded by an approximate byte budget with
 // least-recently-used eviction.
 //

@@ -174,9 +174,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	m.family("hawkd_portfolio_skeletons_dominated_total", "counter", "Skeletons dropped by the provably-cheapest bound.")
 	m.sample("hawkd_portfolio_skeletons_dominated_total", dominated)
 
-	m.family("hawkd_cache_key_fallback_total", "counter", "Cache keys derived from fallback text (pretty-printed or raw source) because canonicalization failed.")
-	m.sample("hawkd_cache_key_fallback_total", s.cacheKeyFallback.value())
-
 	if s.cfg.Memo != nil {
 		ms := s.cfg.Memo.Stats()
 		m.family("hawkd_memo_tier_hits_total", "counter", "Cross-compile memo whole-compile hits, split into exact replays (tier 1) and witness-checked alias replays (tier 1_alias).")

@@ -4,7 +4,7 @@
 // The service adds four things on top of the library compiler:
 //
 //   - A content-addressed result cache: completed deterministic outcomes
-//     are keyed by the hash of (canonical spec text, profile name,
+//     are keyed by the hash of (parsed spec text, profile fingerprint,
 //     synthesis-relevant options fingerprint), so an identical spec never
 //     pays for synthesis twice, no matter how it was formatted or which
 //     client sent it.
@@ -232,14 +232,13 @@ type Server struct {
 	// compile with controlled timing.
 	compileFn func(ctx context.Context, spec *pir.Spec, profile hw.Profile, opts core.Options) (*core.Result, error)
 
-	requests         counter
-	compiles         counter
-	coalesced        counter
-	deadlineExpired  counter
-	certChecked      counter
-	certFailed       counter
-	cacheKeyFallback counter
-	inflight         atomic.Int64
+	requests        counter
+	compiles        counter
+	coalesced       counter
+	deadlineExpired counter
+	certChecked     counter
+	certFailed      counter
+	inflight        atomic.Int64
 }
 
 // New builds a Server from cfg.
@@ -375,48 +374,30 @@ func (s *Server) buildOptions(ro *CompileOptions) (core.Options, int) {
 	if ro.Workers > 0 {
 		want = ro.Workers
 	}
-	if !opts.Opt7Parallelism {
-		// Without Opt7 the compile runs one worker however many tokens it
-		// holds, so a larger ask would only starve concurrent compiles.
-		want = 1
+	if opts.Workers > 0 && want > opts.Workers {
+		// A preset that pins its width (naive mode runs one worker) would
+		// only starve concurrent compiles with a larger ask.
+		want = opts.Workers
 	}
 	return opts, want
 }
 
-// cacheKey derives the content address of one compilation: the canonical
-// spec form (pir.Canonicalize) — so formatting, comments, state renames,
-// rule reorderings, and field-layout shifts that normalize away do not
-// fragment the cache — plus the full profile fingerprint and the
+// cacheKey derives the content address of one compilation: the parsed
+// spec's own text (pir.Spec.String, so formatting and comments do not
+// fragment the cache), plus the full profile fingerprint and the
 // outcome-relevant options fingerprint. The profile contributes its
 // Fingerprint, not its Name: names do not pin the architecture or the
 // objective, and a name-keyed cache could alias a tofino result onto an
 // fpga request if two registrations ever shared a name (see
 // hw.Profile.Fingerprint).
 //
-// Alias requests coalescing onto one entry means the cached response —
-// program text, program JSON, certificate — is rendered in the names of
-// whichever alias compiled first; verdict, entries, and stages are
-// identical across aliases by the canonicalizer's soundness argument.
-//
-// When canonicalization fails the key falls back to the pretty-printed
-// source, and failing that to the raw request source; each fallback is
-// counted (hawkd_cache_key_fallback_total) instead of silently keying on
-// text that spurious formatting differences would fragment.
-func (s *Server) cacheKey(spec *pir.Spec, source string, profile hw.Profile, opts core.Options) string {
-	var canonical string
-	if canon, _, err := pir.Canonicalize(spec); err == nil {
-		canonical = canon.String()
-	} else {
-		s.cacheKeyFallback.inc()
-		if printed, perr := p4.Print(spec); perr == nil {
-			canonical = printed
-		} else {
-			s.cacheKeyFallback.inc()
-			canonical = source
-		}
-	}
+// The key keeps the spec's names: a cached response renders its program
+// and certificate in the names of the spec that compiled it, so a renamed
+// alias gets its own entry. The memo (Config.Memo) is the one place that
+// canonicalizes.
+func cacheKey(spec *pir.Spec, profile hw.Profile, opts core.Options) string {
 	h := sha256.New()
-	h.Write([]byte(canonical))
+	h.Write([]byte(spec.String()))
 	h.Write([]byte{0})
 	h.Write([]byte(profile.Fingerprint()))
 	h.Write([]byte{0})
@@ -491,7 +472,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			wg.Add(1)
 			go func(i int, p hw.Profile) {
 				defer wg.Done()
-				out, disposition := s.compileVia(reqCtx, spec, req.Source, p, opts, wantEach)
+				out, disposition := s.compileVia(reqCtx, spec, p, opts, wantEach)
 				resp := out.resp
 				resp.Profile = p.Name
 				resp.Cache = disposition
@@ -513,7 +494,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown profile %q (GET /v1/profiles lists them)", profName)
 		return
 	}
-	out, disposition := s.compileVia(reqCtx, spec, req.Source, profile, opts, want)
+	out, disposition := s.compileVia(reqCtx, spec, profile, opts, want)
 	s.respond(w, out, disposition, start)
 }
 
@@ -522,8 +503,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // It returns the outcome and its cache disposition; on a deadline it
 // returns verdict unknown while the flight keeps running for any other
 // waiters.
-func (s *Server) compileVia(reqCtx context.Context, spec *pir.Spec, source string, profile hw.Profile, opts core.Options, want int) (*outcome, string) {
-	key := s.cacheKey(spec, source, profile, opts)
+func (s *Server) compileVia(reqCtx context.Context, spec *pir.Spec, profile hw.Profile, opts core.Options, want int) (*outcome, string) {
+	key := cacheKey(spec, profile, opts)
 	if out, ok := s.cache.get(key); ok {
 		return out, CacheHit
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"parserhawk/internal/core"
+	"parserhawk/internal/sat"
 )
 
 func TestRunStatsRoundTrip(t *testing.T) {
@@ -40,23 +41,25 @@ func TestRunStatsRoundTrip(t *testing.T) {
 				VerifyTime:      200 * time.Millisecond,
 				TestCases:       11,
 				Solver: core.SolverStats{
-					Solves:          12,
-					Decisions:       40321,
-					Propagations:    991234,
-					Conflicts:       812,
-					LearnedClauses:  800,
-					LearnedLiterals: 6400,
-					Restarts:        3,
-					Clauses:         51234,
-					Gates:           20110,
-					Vars:            15100,
+					Metrics: sat.Metrics{
+						Solves:          12,
+						Decisions:       40321,
+						Propagations:    991234,
+						Conflicts:       812,
+						LearnedClauses:  800,
+						LearnedLiterals: 6400,
+						Restarts:        3,
+						Clauses:         51234,
+						Vars:            15100,
+					},
+					Gates: 20110,
 				},
 				Iterations: []core.IterationStats{
 					{Budget: 6, Examples: 2, Status: "unsat", SolveTime: 10 * time.Millisecond,
-						Solver: core.SolverStats{Solves: 1, Decisions: 100}},
+						Solver: core.SolverStats{Metrics: sat.Metrics{Solves: 1, Decisions: 100}}},
 					{Budget: 7, Examples: 2, Status: "sat", SolveTime: 80 * time.Millisecond,
 						VerifyTime: 5 * time.Millisecond,
-						Solver:     core.SolverStats{Solves: 1, Decisions: 900, Conflicts: 12}},
+						Solver:     core.SolverStats{Metrics: sat.Metrics{Solves: 1, Decisions: 900, Conflicts: 12}}},
 				},
 			},
 		},

@@ -105,12 +105,13 @@ type T4Row struct {
 	ExtractLim int
 }
 
-// Table4 reproduces the DPParserGen comparison.
-func Table4(optTimeout time.Duration) []T4Row {
-	if optTimeout == 0 {
-		optTimeout = 2 * time.Minute
-	}
-	type cfg struct {
+// Table4 reproduces the DPParserGen comparison. Each ParserHawk compile
+// runs under cfg.OptTimeout on cfg.Workers portfolio workers and is
+// recorded into cfg.StatsSink; the two ME-2 rows are named by their key
+// width.
+func Table4(cfg Config) []T4Row {
+	cfg = cfg.withDefaults()
+	type t4case struct {
 		name    string
 		spec    *pir.Spec
 		profile hw.Profile
@@ -121,19 +122,23 @@ func Table4(optTimeout time.Duration) []T4Row {
 	// The paper's first row uses the real Tofino's limits, whose 32-bit key
 	// window fits the benchmark without splitting.
 	tofinoFull := hw.Tofino()
-	cases := []cfg{
+	cases := []t4case{
 		{"Large tran key", ltk.Spec, tofinoFull, 0, 0, 0},
 		{"ME-1", me1Spec(), hw.Parameterized(4, 2, 10), 4, 2, 10},
-		{"ME-2", me2Spec(), hw.Parameterized(16, 2, 24), 16, 2, 24},
-		{"ME-2", me2Spec(), hw.Parameterized(8, 2, 24), 8, 2, 24},
+		{"ME-2@16", me2Spec(), hw.Parameterized(16, 2, 24), 16, 2, 24},
+		{"ME-2@8", me2Spec(), hw.Parameterized(8, 2, 24), 8, 2, 24},
 		{"ME-3", me3Spec(), hw.Parameterized(16, 2, 10), 16, 2, 10},
 	}
 	var rows []T4Row
 	for _, c := range cases {
 		row := T4Row{Name: c.name, KeyWidth: c.keyW, Lookahead: c.la, ExtractLim: c.ex}
 		opts := core.DefaultOptions()
-		opts.Timeout = optTimeout
-		if res, err := core.Compile(c.spec, c.profile, opts); err != nil {
+		opts.Timeout = cfg.OptTimeout
+		opts.Workers = cfg.Workers
+		t0 := time.Now()
+		res, err := core.Compile(c.spec, c.profile, opts)
+		cfg.record(runRecord(c.name, c.profile, "opt", time.Since(t0).Seconds(), res, err))
+		if err != nil {
 			row.PHErr = err.Error()
 		} else {
 			row.PH = res.Resources.Entries

@@ -209,28 +209,18 @@ func runParserHawk(b benchdata.Benchmark, profile hw.Profile, cfg Config) Target
 		res, err = core.Compile(b.Spec, profile, opts)
 	}
 	out := TargetResult{OptSeconds: time.Since(t0).Seconds()}
-	rec := RunStats{Program: b.Name(), Target: profile.Name, Mode: "opt", Seconds: out.OptSeconds}
+	rec := runRecord(b.Name(), profile, "opt", out.OptSeconds, res, err)
 	if cfg.Memo != nil {
 		rec.Memo = memoDelta(cfg.Memo.Stats().Sub(before))
 	}
+	cfg.record(rec)
 	if err != nil {
 		out.Err = err.Error()
-		rec.Error = out.Err
-		cfg.record(rec)
 		return out
 	}
 	out.Entries = res.Resources.Entries
 	out.Stages = res.Resources.Stages
 	out.SearchBits = res.Stats.SearchSpaceBits
-	rec.OK = true
-	rec.Entries = out.Entries
-	rec.Stages = out.Stages
-	rec.Stats = res.Stats
-	rec.StatesPrePrune = res.Stats.Lint.StatesBefore
-	rec.StatesPostPrune = res.Stats.Lint.StatesAfter
-	rec.RulesPrePrune = res.Stats.Lint.RulesBefore
-	rec.RulesPostPrune = res.Stats.Lint.RulesAfter
-	cfg.record(rec)
 
 	if cfg.RunOrig {
 		naive := core.NaiveOptions()
@@ -239,16 +229,7 @@ func runParserHawk(b benchdata.Benchmark, profile hw.Profile, cfg Config) Target
 		t1 := time.Now()
 		nres, nerr := core.Compile(b.Spec, profile, naive)
 		out.OrigSeconds = time.Since(t1).Seconds()
-		nrec := RunStats{Program: b.Name(), Target: profile.Name, Mode: "orig", Seconds: out.OrigSeconds}
-		if nerr != nil {
-			nrec.Error = nerr.Error()
-		} else {
-			nrec.OK = true
-			nrec.Entries = nres.Resources.Entries
-			nrec.Stages = nres.Resources.Stages
-			nrec.Stats = nres.Stats
-		}
-		cfg.record(nrec)
+		cfg.record(runRecord(b.Name(), profile, "orig", out.OrigSeconds, nres, nerr))
 		if nerr == core.ErrTimeout {
 			out.OrigTimeout = true
 			out.OrigSeconds = cfg.OrigTimeout.Seconds()
@@ -263,6 +244,26 @@ func runParserHawk(b benchdata.Benchmark, profile hw.Profile, cfg Config) Target
 		}
 	}
 	return out
+}
+
+// runRecord is the stats record of one ParserHawk compile of program on
+// profile in mode ("opt" or "orig"). A naive compile skips linting, so its
+// prune counts stay zero.
+func runRecord(program string, profile hw.Profile, mode string, seconds float64, res *core.Result, err error) RunStats {
+	rec := RunStats{Program: program, Target: profile.Name, Mode: mode, Seconds: seconds}
+	if err != nil {
+		rec.Error = err.Error()
+		return rec
+	}
+	rec.OK = true
+	rec.Entries = res.Resources.Entries
+	rec.Stages = res.Resources.Stages
+	rec.Stats = res.Stats
+	rec.StatesPrePrune = res.Stats.Lint.StatesBefore
+	rec.StatesPostPrune = res.Stats.Lint.StatesAfter
+	rec.RulesPrePrune = res.Stats.Lint.RulesBefore
+	rec.RulesPostPrune = res.Stats.Lint.RulesAfter
+	return rec
 }
 
 func runVendor(b benchdata.Benchmark, profile hw.Profile) TargetResult {
@@ -326,6 +327,11 @@ type Summary struct {
 	UnderOneMinute     int // optimized compiles finishing < 60 s
 	UnderFiveMinutes   int
 	CensoredOrigCounts int // naive-mode cells that hit the timeout
+
+	// MinCensored and MaxCensored report that the extreme is the lower
+	// bound of a cell whose naive compile timed out: the true extreme is
+	// larger.
+	MinCensored, MaxCensored bool
 }
 
 // Summarize computes the headline statistics over Table 3 rows.
@@ -350,14 +356,16 @@ func Summarize(rows []T3Row) Summary {
 			!pipelined && vendor.Entries > ph.Entries {
 			s.VendorSuboptimal++
 		}
-		if ph.Speedup > 0 {
-			logSum += math.Log(ph.Speedup)
+		if v := ph.Speedup; v > 0 {
+			logSum += math.Log(v)
 			n++
-			if ph.Speedup < s.MinSpeedup {
-				s.MinSpeedup = ph.Speedup
+			// On a tie an exact minimum and a censored maximum win: the
+			// one is the true extreme, the other a bound below it.
+			if v < s.MinSpeedup || v == s.MinSpeedup && !ph.OrigTimeout {
+				s.MinSpeedup, s.MinCensored = v, ph.OrigTimeout
 			}
-			if ph.Speedup > s.MaxSpeedup {
-				s.MaxSpeedup = ph.Speedup
+			if v > s.MaxSpeedup || v == s.MaxSpeedup && ph.OrigTimeout {
+				s.MaxSpeedup, s.MaxCensored = v, ph.OrigTimeout
 			}
 		}
 		if ph.OrigTimeout {
@@ -468,8 +476,18 @@ func FormatSummary(s Summary) string {
 	fmt.Fprintf(&sb, "compiles under 1 min: %d/%d (paper: 44/58)\n", s.UnderOneMinute, s.ParserHawkOK)
 	fmt.Fprintf(&sb, "compiles under 5 min: %d/%d (paper: >90%%)\n", s.UnderFiveMinutes, s.ParserHawkOK)
 	if s.GeomeanSpeedup > 0 {
-		fmt.Fprintf(&sb, "geomean OPT speedup: %.2fx (min %.2fx, max %.2fx; %d censored) (paper: 309.44x)\n",
-			s.GeomeanSpeedup, s.MinSpeedup, s.MaxSpeedup, s.CensoredOrigCounts)
+		fmt.Fprintf(&sb, "geomean OPT speedup: %.2fx (min %s, max %s; %d censored) (paper: 309.44x)\n",
+			s.GeomeanSpeedup, fmtExtreme(s.MinSpeedup, s.MinCensored),
+			fmtExtreme(s.MaxSpeedup, s.MaxCensored), s.CensoredOrigCounts)
 	}
 	return sb.String()
+}
+
+// fmtExtreme renders a summary speedup, marked ">" when it is a censored
+// cell's lower bound.
+func fmtExtreme(v float64, censored bool) string {
+	if censored {
+		return fmt.Sprintf(">%.2fx", v)
+	}
+	return fmt.Sprintf("%.2fx", v)
 }

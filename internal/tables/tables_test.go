@@ -86,9 +86,22 @@ func TestTable3WideKeyVendorRejection(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	rows := Table4(testTimeout)
+	var runs []RunStats
+	rows := Table4(Config{OptTimeout: testTimeout, StatsSink: func(r RunStats) { runs = append(runs, r) }})
 	if len(rows) != 5 {
 		t.Fatalf("rows=%d", len(rows))
+	}
+	if len(runs) != len(rows) {
+		t.Fatalf("stats sink saw %d compiles, want one per row (%d)", len(runs), len(rows))
+	}
+	for i, r := range rows {
+		if runs[i].Program != r.Name || !runs[i].OK || runs[i].Entries != r.PH || runs[i].Stats.Solver.Solves == 0 {
+			t.Errorf("row %s: stats record %s ok=%v entries=%d solves=%d", r.Name,
+				runs[i].Program, runs[i].OK, runs[i].Entries, runs[i].Stats.Solver.Solves)
+		}
+	}
+	if rows[2].Name != "ME-2@16" || rows[3].Name != "ME-2@8" {
+		t.Errorf("ME-2 rows named %q and %q, want ME-2@16 and ME-2@8", rows[2].Name, rows[3].Name)
 	}
 	for _, r := range rows {
 		if r.PHErr != "" {
@@ -175,6 +188,36 @@ func TestSummarize(t *testing.T) {
 	}
 	if !strings.Contains(FormatSummary(s), "geomean") {
 		t.Error("summary format incomplete")
+	}
+}
+
+// TestSummaryMarksCensoredExtremes: a naive compile that timed out gives
+// only a lower bound on its speedup, so a min or max taken from such a cell
+// prints with ">", and an exact extreme prints without one.
+func TestSummaryMarksCensoredExtremes(t *testing.T) {
+	exact := func(s float64) TargetResult {
+		return TargetResult{Entries: 1, Stages: 1, OptSeconds: 1, OrigSeconds: s, Speedup: s}
+	}
+	censored := func(s float64) TargetResult {
+		r := exact(s)
+		r.OrigTimeout = true
+		return r
+	}
+	for _, tc := range []struct {
+		name              string
+		tofino, ipu, fpga TargetResult
+		want              string
+	}{
+		{"censored max", exact(2), exact(5), censored(300), "(min 2.00x, max >300.00x; 1 censored)"},
+		{"censored min", censored(1.5), exact(5), exact(40), "(min >1.50x, max 40.00x; 1 censored)"},
+		{"exact", exact(2), exact(5), exact(40), "(min 2.00x, max 40.00x; 0 censored)"},
+		{"exact min ties a bound", censored(2), exact(2), exact(40), "(min 2.00x, max 40.00x; 1 censored)"},
+		{"censored max ties an exact", exact(2), exact(40), censored(40), "(min 2.00x, max >40.00x; 1 censored)"},
+	} {
+		rows := []T3Row{{Program: "p", Tofino: tc.tofino, IPU: tc.ipu, FPGA: tc.fpga}}
+		if got := FormatSummary(Summarize(rows)); !strings.Contains(got, tc.want) {
+			t.Errorf("%s: summary\n%s\nwant it to contain %q", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -19,9 +19,10 @@
 //
 // The compiler is retargetable: the same specification compiles for any
 // Profile, and a new device needs only a new Profile (§7.3). Options
-// toggles the §6 optimizations that change the search (Opt2, Opt4, Opt5,
-// Opt7); DefaultOptions enables all of them, NaiveOptions none (the
-// paper's "Orig" mode). Spec-guided keys (§6.1), extraction preallocation
+// toggles the §6 optimizations that change the search (Opt2, Opt4, Opt5);
+// DefaultOptions enables all of them, NaiveOptions none (the paper's
+// "Orig" mode). Opt7's parallel portfolio is Options.Workers, which never
+// changes the outcome. Spec-guided keys (§6.1), extraction preallocation
 // (§6.3) and per-example varbit widths (§6.6) are how the encoding works
 // in both modes.
 package parserhawk
