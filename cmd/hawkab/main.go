@@ -11,8 +11,8 @@
 // outcome — a different OK/failure verdict or a different entry or stage
 // count on any benchmark — or when the first file's total wall time
 // exceeds the second's beyond the tolerance. The verdict table reports
-// the solver-effort movement (conflicts, propagations, learned clauses)
-// alongside the wall-time and CNF-clause comparisons.
+// the solver-effort movement (conflicts, propagations, learned clauses
+// and their literals) alongside the wall-time and CNF-clause comparisons.
 package main
 
 import (
@@ -89,6 +89,7 @@ func main() {
 	row("conflicts", aTot.conflicts, bTot.conflicts)
 	row("propagations", aTot.propagations, bTot.propagations)
 	row("learned clauses", aTot.learned, bTot.learned)
+	row("learned literals", aTot.learnedLits, bTot.learnedLits)
 	row("CNF clauses", aTot.clauses, bTot.clauses)
 	fmt.Printf("learned retained:  %d clauses carried across solves (%s run)\n", aTot.retained, aLabel)
 	fmt.Printf("cons-cache hits:   %d gates deduplicated (%s run)\n", aTot.consHits, aLabel)
@@ -109,6 +110,7 @@ type totals struct {
 	conflicts    int64
 	propagations int64
 	learned      int64
+	learnedLits  int64
 	clauses      int64
 	retained     int64
 	consHits     int64
@@ -119,6 +121,7 @@ func (t *totals) add(r *tables.RunStats) {
 	t.conflicts += r.Stats.Solver.Conflicts
 	t.propagations += r.Stats.Solver.Propagations
 	t.learned += r.Stats.Solver.LearnedClauses
+	t.learnedLits += r.Stats.Solver.LearnedLiterals
 	t.clauses += r.Stats.Solver.Clauses
 	t.retained += r.Stats.Solver.RetainedClauses
 	t.consHits += r.Stats.Solver.ConsHits

@@ -203,7 +203,8 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 	var firstErr error
 	for _, o := range outs {
 		stats.SkeletonsTried++
-		stats.Solver.Add(o.solver)
+		stats.Solver.Add(o.stats.Solver)
+		stats.Blocked += o.stats.Blocked
 		if o.err != nil {
 			if firstErr == nil && !errors.Is(o.err, errCanceled) {
 				firstErr = o.err
@@ -232,6 +233,7 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 	best.Stats.SkeletonsTried = stats.SkeletonsTried
 	best.Stats.SearchSpaceBits = stats.SearchSpaceBits
 	best.Stats.Solver = stats.Solver
+	best.Stats.Blocked = stats.Blocked
 	best.Stats.Portfolio = stats.Portfolio
 	best.Stats.Lint = lintStats
 	if opts.EmitCertificate {
@@ -350,7 +352,8 @@ func resultCheaper(profile hw.Profile, a, b tcam.Resources) bool {
 // (sum of per-state maxima, clamped by the option and device limits) and
 // the starting rung. The ladder always climbs entry counts — entries bound
 // the symbolic table the encoder builds — but the device clamp is the
-// objective's call (see hw.Objective.LadderCap).
+// objective's call (see hw.Objective.LadderCap). A starting rung above the
+// cap means no program of the skeleton fits.
 func ladderBounds(effSynth *pir.Spec, synthSk *skeleton, profile hw.Profile, opts Options) (low, capN int) {
 	for _, ss := range synthSk.States {
 		capN += ss.MaxEntries
@@ -367,13 +370,7 @@ func ladderBounds(effSynth *pir.Spec, synthSk *skeleton, profile hw.Profile, opt
 	// paper measures without any of it — starts from one entry.
 	low = 1
 	if opts.Opt4ConstantSynthesis {
-		low = skeletonLowerBound(effSynth, synthSk)
-	}
-	if low > capN {
-		low = capN
-	}
-	if low < 1 {
-		low = 1
+		low = max(skeletonLowerBound(effSynth, synthSk), 1)
 	}
 	return low, capN
 }
@@ -462,16 +459,20 @@ func (e *exampleSet) size() int { return len(e.ex) }
 // solver's variable activity, and every encoded counterexample carry
 // directly into rung k+1 instead of being rebuilt. The ladder's solver
 // effort is therefore that one solver's final snapshot (plus the total of
-// an Opt2 fallback ladder, when one ran); it is returned even when the
-// skeleton fails, so Compile can account for all the work.
-func (eng *skeletonEngine) runLadder(ctx context.Context) (*Result, SolverStats, error) {
+// an Opt2 fallback ladder, when one ran). The ladder's Stats are returned
+// even when the skeleton fails, so Compile can account for all the work
+// in their Solver and Blocked.
+func (eng *skeletonEngine) runLadder(ctx context.Context) (*Result, Stats, error) {
+	var st Stats
 	low, capN := ladderBounds(eng.effSynth, eng.synthSk, eng.profile, eng.opts)
+	if low > capN {
+		return nil, st, ErrNoSolution
+	}
 	env, err := eng.newEnv()
 	if err != nil {
-		return nil, SolverStats{}, err
+		return nil, st, err
 	}
 	sy := newSynthesizer(eng.effSynth, eng.synthSk, eng.profile, eng.opts)
-	var st Stats
 	for budget := low; budget <= capN; budget++ {
 		st.BudgetsTried++
 		st.Iterations = nil // the trace kept is the winning rung's
@@ -481,13 +482,13 @@ func (eng *skeletonEngine) runLadder(ctx context.Context) (*Result, SolverStats,
 		}
 		st.Solver.Add(sy.s.Metrics())
 		if err != nil {
-			return nil, st.Solver, err
+			return nil, st, err
 		}
 		res.Stats = st
-		return res, st.Solver, nil
+		return res, st, nil
 	}
 	st.Solver.Add(sy.s.Metrics())
-	return nil, st.Solver, ErrNoSolution
+	return nil, st, ErrNoSolution
 }
 
 // runBudget runs the CEGIS loop at one entry budget in env over the
@@ -605,6 +606,7 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 		st.VerifyTime += iter.VerifyTime
 		if refuted {
 			iter.Status = "blocked"
+			st.Blocked++
 		}
 		st.Iterations = append(st.Iterations, iter)
 		switch {
@@ -622,7 +624,8 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			fallback := newSkeletonEngine(eng.spec, eng.effOrig, eng.effOrig, eng.origSk, eng.origSk, eng.profile, o2)
 			res, sub, err := fallback.runLadder(ctx)
 			if err != nil {
-				st.Solver.Add(sub)
+				st.Solver.Add(sub.Solver)
+				st.Blocked += sub.Blocked
 				return nil, err
 			}
 			// The fallback's program wins: adopt its figures (its solver
@@ -632,6 +635,7 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			fb.VerifyTime += st.VerifyTime
 			fb.CEGISIterations += st.CEGISIterations
 			fb.BudgetsTried += st.BudgetsTried
+			fb.Blocked += st.Blocked
 			*st = fb
 			return res, nil
 		case err != nil:

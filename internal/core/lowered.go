@@ -237,6 +237,10 @@ type regFile struct {
 	val  []uint64 // captured varbit length values (lowExtract.capture)
 	live []int    // slots extracted this generation, in first-extraction order
 	cur  uint32
+	// reach is one past the furthest input bit the run extracted or looked
+	// ahead at. Every key, varbit length and sameFields read lies below it,
+	// so the run goes the same way on any input that agrees on those bits.
+	reach int
 }
 
 // reset empties the dictionary and sizes it for slots fields.
@@ -253,6 +257,7 @@ func (r *regFile) reset(slots int) {
 		r.cur = 1
 	}
 	r.live = r.live[:0]
+	r.reach = 0
 }
 
 func (r *regFile) has(slot int) bool { return r.gen[slot] == r.cur }
@@ -299,6 +304,7 @@ func (r *regFile) extract(in bitstream.Bits, x *lowExtract, pos int) int {
 		r.live = append(r.live, x.slot)
 	}
 	r.pos[x.slot], r.n[x.slot] = pos, w
+	r.reach = max(r.reach, pos+w)
 	if x.capture >= 0 {
 		r.val[x.slot] = r.field(in, x.slot, 0, x.capture)
 	}
@@ -318,6 +324,7 @@ func (r *regFile) key(in bitstream.Bits, parts []lowKey, pos int) uint64 {
 		var v uint64
 		if p.slot < 0 {
 			v = in.Uint(pos+p.lo, p.width)
+			r.reach = max(r.reach, pos+p.lo+p.width)
 		} else {
 			v = r.field(in, p.slot, p.lo, p.width)
 		}

@@ -133,12 +133,42 @@ func crossCheckCorrupted(t *testing.T, v *verifier, prog *tcam.Program, n int, r
 	if _, wrong := crossCheck(t, v, prog, n); wrong != 0 {
 		t.Fatalf("compiled program is wrong on %d inputs", wrong)
 	}
+	checkExhaustiveSearch(t, v, prog)
 	for _, c := range corruptions(prog, rng) {
 		if _, wrong := crossCheck(t, v, c, n); wrong > 0 {
 			caught++
 		}
+		checkExhaustiveSearch(t, v, c)
 	}
 	return caught
+}
+
+// checkExhaustiveSearch compares the search on an exhaustible input space,
+// which skips inputs that agree on every bit both runs read, with a plain
+// enumeration of every input: both must return the same smallest
+// counterexample, or none.
+func checkExhaustiveSearch(t testing.TB, v *verifier, prog *tcam.Program) {
+	t.Helper()
+	if v.maxLen > exhaustiveBits {
+		return
+	}
+	lp := lowerProgram(prog, v.low)
+	var want bitstream.Bits
+	in := make(bitstream.Bits, v.maxLen)
+	for x := uint64(0); x < 1<<uint(v.maxLen); x++ {
+		for i := range in {
+			in[i] = byte(x >> uint(v.maxLen-1-i) & 1)
+		}
+		if v.differs(lp, in) {
+			want = in
+			break
+		}
+	}
+	got, found := v.counterexample(prog)
+	if found != (want != nil) || found && !got.Equal(want) {
+		t.Fatalf("search returned %s (found=%v), enumeration %s (found=%v)\nprogram:\n%s",
+			got, found, want, want != nil, prog)
+	}
 }
 
 const crossCheckInputs = 10000
@@ -225,6 +255,21 @@ func TestLoweredCheckHandFixtures(t *testing.T) {
 			Rules:   []pir.Rule{pir.ExactRule(1, 1, pir.To(0))},
 			Default: pir.AcceptTarget,
 		}})
+	// short reads 2 bits when a is 0 and 6 otherwise: a program that looks
+	// further on a = 0 must keep the exhaustive search from skipping the
+	// inputs only it tells apart.
+	short := pir.MustNew("short",
+		[]pir.Field{{Name: "a", Width: 2}, {Name: "b", Width: 4}},
+		[]pir.State{
+			{
+				Name:     "start",
+				Extracts: []pir.Extract{ex("a")},
+				Key:      []pir.KeyPart{pir.WholeField("a", 2)},
+				Rules:    []pir.Rule{pir.ExactRule(0, 2, pir.AcceptTarget)},
+				Default:  pir.To(1),
+			},
+			{Name: "b", Extracts: []pir.Extract{ex("b")}, Default: pir.AcceptTarget},
+		})
 	la := func(skip, w int) []pir.KeyPart { return []pir.KeyPart{pir.LookaheadBits(skip, w)} }
 
 	for _, tc := range []struct {
@@ -269,6 +314,12 @@ func TestLoweredCheckHandFixtures(t *testing.T) {
 			tcam.State{Entries: []tcam.Entry{wildcard(tcam.AcceptTarget, ex("a"), ex("x"))}}), true},
 		{"undeclared field only the program extracts", twoFields, fixtureProg(twoFields,
 			tcam.State{Entries: []tcam.Entry{wildcard(tcam.AcceptTarget, ex("a"), ex("ghost"))}}), true},
+		{"program reads past the spec", short, fixtureProg(short,
+			tcam.State{Key: la(0, 6), Entries: []tcam.Entry{
+				{Value: 0, Mask: 0x3f, Extracts: []pir.Extract{ex("a")}, Next: tcam.AcceptTarget},
+				{Value: 0, Mask: 0x30, Extracts: []pir.Extract{ex("a")}, Next: tcam.RejectTarget},
+				wildcard(tcam.AcceptTarget, ex("a"), ex("b")),
+			}}), true},
 		{"iteration bound", spin, fixtureProg(spin,
 			tcam.State{Key: la(0, 1), Entries: []tcam.Entry{
 				{Value: 1, Mask: 1, Next: tcam.To(0, 0)},
@@ -292,6 +343,7 @@ func TestLoweredCheckHandFixtures(t *testing.T) {
 			if _, found := v.counterexample(tc.prog); found != tc.wrong {
 				t.Fatalf("counterexample found=%v, want %v", found, tc.wrong)
 			}
+			checkExhaustiveSearch(t, v, tc.prog)
 		})
 	}
 }

@@ -145,6 +145,10 @@ type Stats struct {
 	SynthesisTime   time.Duration `json:"synthesis_time"`
 	VerifyTime      time.Duration `json:"verify_time"`
 	TestCases       int           `json:"test_cases"` // final size of the CEGIS example set
+	// Blocked counts the candidates the witness walk refuted and the
+	// ladder blocked, summed like Solver over every ladder the compile ran
+	// (the Opt2 fallback's included).
+	Blocked int `json:"blocked"`
 
 	// Lint reports the SpecLint pre-pass: diagnostic counts and the
 	// specification shrink achieved by pruning unreachable states and

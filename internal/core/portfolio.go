@@ -34,9 +34,9 @@ import (
 
 // attemptOut is one skeleton attempt's contribution to the reduction.
 type attemptOut struct {
-	res    *Result
-	solver SolverStats
-	err    error
+	res   *Result
+	stats Stats // the ladder's, for its Solver and Blocked totals
+	err   error
 }
 
 type portfolioInput struct {
@@ -159,12 +159,12 @@ func (p *portfolio) take() int {
 func (p *portfolio) runLadder(idx int) {
 	in := &p.in
 	eng := newSkeletonEngine(in.spec, in.effOrig, in.effSynth, &in.origSks[idx], &in.synthSks[idx], in.profile, in.opts)
-	res, solver, err := eng.runLadder(p.ctxs[idx])
+	res, st, err := eng.runLadder(p.ctxs[idx])
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.phase[idx] = skelDone
-	p.outs[idx] = &attemptOut{res: res, solver: solver, err: err}
+	p.outs[idx] = &attemptOut{res: res, stats: st, err: err}
 	if err == nil {
 		p.onSuccess(idx, res)
 	}

@@ -137,16 +137,24 @@ func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex
 	}
 	in := v.in
 	if v.maxLen <= exhaustiveBits {
+		// Inputs count up MSB-first. When neither run read past bit r, every
+		// input sharing x's first r bits runs as x did, so the search jumps
+		// to the last of them and still returns the smallest counterexample.
 		n := uint64(1) << uint(v.maxLen)
+		calls := 0
 		for x := uint64(0); x < n; x++ {
-			if stopped(int(x)) {
+			if stopped(calls) {
 				return nil, false, true
 			}
+			calls++
 			for i := range in {
 				in[i] = byte(x >> uint(v.maxLen-1-i) & 1)
 			}
 			if v.differs(lp, in) {
 				return in.Clone(), true, false
+			}
+			if r := max(v.specRegs.reach, v.progRegs.reach); r < v.maxLen {
+				x |= 1<<uint(v.maxLen-r) - 1
 			}
 		}
 		return nil, false, false

@@ -69,9 +69,10 @@ func BenchmarkPropagationLongClauses(b *testing.B) {
 
 // BenchmarkConflictAnalysis measures the conflict-analysis rate on the
 // pigeonhole principle PHP(8,7) — an unsatisfiable instance whose proof is
-// all conflicts, so nearly every cycle is analyze()/record().
+// all conflicts, so nearly every cycle is analyze()/record() — and the
+// length of the clauses it learns after minimization.
 func BenchmarkConflictAnalysis(b *testing.B) {
-	var conflicts int64
+	var total Metrics
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := New()
@@ -80,10 +81,10 @@ func BenchmarkConflictAnalysis(b *testing.B) {
 		if s.Solve() != Unsat {
 			b.Fatal("pigeonhole must be unsat")
 		}
-		_, _, c := s.Stats()
-		conflicts += c
+		total.Add(s.Metrics())
 	}
-	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
+	b.ReportMetric(float64(total.Conflicts)/float64(b.N), "conflicts/op")
+	b.ReportMetric(float64(total.LearnedLiterals)/float64(total.LearnedClauses), "lits/learnt")
 }
 
 // addPigeonhole encodes PHP(pigeons, holes): every pigeon in some hole, no

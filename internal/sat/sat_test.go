@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -371,6 +372,41 @@ func TestLuby(t *testing.T) {
 		if got := luby(int64(i + 1)); got != w {
 			t.Errorf("luby(%d)=%d want %d", i+1, got, w)
 		}
+	}
+}
+
+// TestRestartSchedule pins when restarts take effect. Restart r fires once
+// a call's conflicts pass restartLimit(r); when the next limit lies below
+// the conflicts already spent, it fires at once, with no search between.
+func TestRestartSchedule(t *testing.T) {
+	var effective []int64
+	restarts, r := 0, int64(1)
+	for len(effective) < 10 {
+		limit := restartLimit(r)
+		effective = append(effective, limit)
+		for restartLimit(r) <= limit { // the burst at limit+1 conflicts
+			r++
+			restarts++
+		}
+	}
+	want := []int64{100, 200, 600, 1200, 2800, 5600, 12000, 24000, 49600, 99200}
+	if !slices.Equal(effective, want) {
+		t.Errorf("effective restarts past %v conflicts, want %v", effective, want)
+	}
+	if restarts != 62 {
+		t.Errorf("%d restarts counted by the tenth burst, want 62", restarts)
+	}
+
+	// The solver follows it: a call cut at 1,000 conflicts has restarted
+	// past 100, 200 and 600 conflicts, the last three times back to back.
+	s := New()
+	pigeonhole(s, 10, 9)
+	s.MaxConflicts = 1000
+	if got := s.Solve(); got != Unknown {
+		t.Fatalf("status=%v, want the conflict limit to stop PHP(10,9)", got)
+	}
+	if got := s.LastSolveDelta().Restarts; got != 5 {
+		t.Errorf("%d restarts in 1,000 conflicts, want 5", got)
 	}
 }
 

@@ -103,6 +103,12 @@ func TestTable4Shape(t *testing.T) {
 	if rows[2].Name != "ME-2@16" || rows[3].Name != "ME-2@8" {
 		t.Errorf("ME-2 rows named %q and %q, want ME-2@16 and ME-2@8", rows[2].Name, rows[3].Name)
 	}
+	// ME-2@8's key-split candidates are wrong only on chunk
+	// cross-combinations the counterexample search never builds, so the
+	// witness walk refutes and blocks them whatever the solver proposes.
+	if runs[3].Stats.Blocked == 0 {
+		t.Errorf("ME-2@8: no blocked candidate recorded")
+	}
 	for _, r := range rows {
 		if r.PHErr != "" {
 			t.Fatalf("%s: ParserHawk failed: %s", r.Name, r.PHErr)
