@@ -19,7 +19,7 @@
 // -targets fans the one spec across several device profiles concurrently
 // (sharing the -workers portfolio budget) and prints a per-target
 // comparison table; every successful compile is re-certified with the
-// independent witness checker before its row says so. With -expect FILE
+// independent checker before its row says so. With -expect FILE
 // (lines of "target verdict", # comments allowed) the exit status is 1
 // when any target's verdict deviates from the file or an expected-ok
 // target fails certification — the CI smoke gate.
@@ -62,7 +62,7 @@ func main() {
 		emitP4     = flag.Bool("emit-p4", false, "print the normalized P4 view of the specification and exit")
 		lintOnly   = flag.Bool("lint", false, "run SpecLint static analysis and exit (1 on error-severity findings)")
 		dimacsDir  = flag.String("dimacs", "", "directory to write the compile's hardest SAT query as DIMACS CNF")
-		certOut    = flag.String("cert", "", "write a compilation certificate (bisimulation witness, plus the -proof bundle when enabled) to this file")
+		certOut    = flag.String("cert", "", "write a compilation certificate (effective spec and program, plus the -proof bundle when enabled) to this file")
 		proofOut   = flag.String("proof", "", "enable DRAT proof logging and write the hardest UNSAT query's proof to this file (its CNF lands alongside as <file>.cnf)")
 		workers    = flag.Int("workers", 0, "portfolio goroutines for skeleton ladders (0 = the mode's preset: GOMAXPROCS, or 1 with -naive; 1 = sequential)")
 		memoDir    = flag.String("memo-dir", "", "persist the cross-compile memo under this directory (warm-starts later compiles)")

@@ -2,15 +2,12 @@
 // alongside every synthesized parser and the independent static checkers
 // that validate it.
 //
-// A certificate has two halves:
-//
-//   - a bisimulation witness — the spec-state ↔ TCAM-row relation the
-//     product-automaton checker in witness.go verifies statically, with
-//     no packet simulation and no dependence on the CEGIS verifier in
-//     internal/core/verify.go; and
-//   - an optional DRAT proof bundle — the DIMACS CNF and clausal proof
-//     of the hardest UNSAT solver query, validated by the forward
-//     unit-propagation checker in drat.go.
+// A certificate carries the effective spec and the compiled program, so
+// a checker re-derives their equivalence with the product-automaton walk
+// in witness.go (no packet simulation, no dependence on the CEGIS search
+// in internal/core/verify.go), plus an optional DRAT proof bundle: the
+// DIMACS CNF and clausal proof of the hardest UNSAT solver query,
+// validated by the forward unit-propagation checker in drat.go.
 //
 // This package deliberately imports only the IRs (pir, tcam): it must
 // never import internal/core, so a bug in the synthesizer cannot leak
@@ -27,14 +24,14 @@ import (
 )
 
 // Version is the certificate schema version this package reads and
-// writes. Checkers reject certificates from a different major schema.
-const Version = 1
+// writes. Checkers reject certificates from a different schema.
+const Version = 2
 
 // Certificate is the self-contained proof-carrying artifact emitted by a
 // compile. It embeds everything a checker needs: the effective spec the
 // synthesizer actually targeted (post-lint-prune, post-unroll), the
-// compiled TCAM program, the witness relating the two, and optionally a
-// DRAT proof for the compile's hardest UNSAT query.
+// compiled TCAM program, and optionally a DRAT proof for the compile's
+// hardest UNSAT query.
 type Certificate struct {
 	Version int    `json:"version"`
 	Spec    string `json:"spec"`    // name of the input specification
@@ -51,53 +48,21 @@ type Certificate struct {
 
 	// Effective is the structural JSON (EncodeSpecJSON) of the effective
 	// spec: the input after the lint/prune fixpoint and, for loopy specs
-	// on loop-free targets, after unrolling. The witness relates THIS
-	// spec to the program; hawkcheck recomputes it independently from
-	// the input spec and refuses certificates where the two disagree.
+	// on loop-free targets, after unrolling. The walk relates THIS spec
+	// to the program; hawkcheck recomputes it independently from the
+	// input spec and refuses certificates where the two disagree.
 	Effective json.RawMessage `json:"effective"`
 
 	// Program is the tcam deployment JSON (tcam.EncodeJSON) of the
 	// compiled parser.
 	Program json.RawMessage `json:"program"`
 
-	Witness *Witness     `json:"witness,omitempty"`
-	Proof   *ProofBundle `json:"proof,omitempty"`
+	Proof *ProofBundle `json:"proof,omitempty"`
 
-	// Error is set instead of Witness when witness construction failed.
-	// A compile still succeeds in that case — the certificate records
-	// that it is unverifiable, and checkers treat it as failing.
+	// Error records why the compile-time walk could not decide the
+	// program. A compile still succeeds in that case — the certificate
+	// records that it is unverifiable, and checkers treat it as failing.
 	Error string `json:"error,omitempty"`
-}
-
-// Witness is a bisimulation witness: the set of joint (spec state,
-// TCAM row) configurations reachable in the product automaton. The
-// checker re-traverses the product and demands that every configuration
-// it reaches is listed, every transition is matched by the other side,
-// and every extraction agrees — so a corrupted or stale witness fails
-// closed.
-type Witness struct {
-	Pairs []Pair `json:"pairs"`
-}
-
-// Pair is one joint configuration of the product automaton.
-type Pair struct {
-	// Spec is the effective-spec state name, or "accept"/"reject" once
-	// the spec side has terminated while the implementation still
-	// stutters toward its own verdict.
-	Spec string `json:"spec"`
-	// Partial counts how many of the spec state's extractions have
-	// already been performed on entry — nonzero when a wide extraction
-	// was split across several TCAM rows.
-	Partial int `json:"partial,omitempty"`
-	// Impl identifies the TCAM row as "table.state".
-	Impl string `json:"impl"`
-}
-
-func (p Pair) String() string {
-	if p.Partial != 0 {
-		return fmt.Sprintf("(%s+%d, %s)", p.Spec, p.Partial, p.Impl)
-	}
-	return fmt.Sprintf("(%s, %s)", p.Spec, p.Impl)
 }
 
 // ProofBundle carries the DRAT proof of the hardest UNSAT solver query a
@@ -132,17 +97,14 @@ func Decode(data []byte) (*Certificate, error) {
 }
 
 // SelfCheck validates a certificate against its own embedded effective
-// spec and program: witness coverage plus, when a proof bundle is
-// present, the DRAT refutation. It does NOT re-derive the effective
-// spec from the input — callers that hold the input spec (hawkcheck)
-// should additionally compare SpecSHA and the recomputed effective
-// spec. Returns nil exactly when the certificate checks.
+// spec and program: the walk plus, when a proof bundle is present, the
+// DRAT refutation. It does NOT re-derive the effective spec from the
+// input — callers that hold the input spec (hawkcheck) should
+// additionally compare SpecSHA and the recomputed effective spec.
+// Returns nil exactly when the certificate checks.
 func (c *Certificate) SelfCheck() error {
 	if c.Error != "" {
-		return fmt.Errorf("cert: certificate records witness construction failure: %s", c.Error)
-	}
-	if c.Witness == nil {
-		return fmt.Errorf("cert: certificate has no witness")
+		return fmt.Errorf("cert: certificate records an undecided walk: %s", c.Error)
 	}
 	eff, err := DecodeSpecJSON(c.Effective)
 	if err != nil {
@@ -152,7 +114,7 @@ func (c *Certificate) SelfCheck() error {
 	if err != nil {
 		return fmt.Errorf("cert: program: %w", err)
 	}
-	if err := CheckWitness(eff, prog, c.Witness); err != nil {
+	if err := Walk(eff, prog); err != nil {
 		return err
 	}
 	if c.Proof != nil {

@@ -3,8 +3,9 @@ package cert
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -22,6 +23,8 @@ import (
 //     clauses are ignored (their propagations are kept), matching
 //     standard forward checkers
 //   - "c ..." lines are comments
+//   - a clause means its normal form (normClause): repeated literals
+//     count once, and a clause holding l and ¬l is satisfied
 //   - every added clause must be RUP
 //   - the proof ends with the empty clause ("0"); the check succeeds
 //     only if unit propagation has derived a contradiction by then
@@ -282,6 +285,10 @@ func (ck *dratChecker) addClause(lits []int) {
 	if ck.contradiction {
 		return
 	}
+	lits, taut := normClause(lits)
+	if taut {
+		return // satisfied by every assignment: constrains nothing
+	}
 	if len(lits) == 0 {
 		ck.contradiction = true
 		return
@@ -298,9 +305,10 @@ func (ck *dratChecker) addClause(lits []int) {
 		}
 		return
 	}
+	k := fmt.Sprint(lits) // deletion key, taken before the watch reordering
 	// Order the watched positions onto non-false literals so the watch
 	// invariant holds under the current top-level trail.
-	cl := append([]int(nil), lits...)
+	cl := lits
 	slot := 0
 	for i := 0; i < len(cl) && slot < 2; i++ {
 		if ck.val(cl[i]) != -1 {
@@ -330,7 +338,6 @@ func (ck *dratChecker) addClause(lits []int) {
 	if len(cl) > 1 {
 		ck.watches[cl[1]] = append(ck.watches[cl[1]], ci)
 	}
-	k := canonClause(lits)
 	ck.byKey[k] = append(ck.byKey[k], ci)
 }
 
@@ -338,10 +345,11 @@ func (ck *dratChecker) addClause(lits []int) {
 // Missing instances and unit clauses are ignored, as in standard
 // forward DRAT checking.
 func (ck *dratChecker) deleteClause(lits []int) {
-	if len(lits) <= 1 {
+	lits, taut := normClause(lits)
+	if taut || len(lits) <= 1 {
 		return
 	}
-	k := canonClause(lits)
+	k := fmt.Sprint(lits)
 	idxs := ck.byKey[k]
 	for len(idxs) > 0 {
 		ci := idxs[len(idxs)-1]
@@ -354,12 +362,19 @@ func (ck *dratChecker) deleteClause(lits []int) {
 	ck.byKey[k] = idxs
 }
 
-func canonClause(lits []int) string {
-	s := append([]int(nil), lits...)
-	sort.Ints(s)
-	var b strings.Builder
-	for _, l := range s {
-		fmt.Fprintf(&b, "%d ", l)
+// normClause returns a fresh copy of a clause in normal form: literals
+// ordered by variable, each once. taut reports a clause holding some
+// literal and its negation.
+func normClause(lits []int) (cl []int, taut bool) {
+	cl = slices.Clone(lits)
+	slices.SortFunc(cl, func(a, b int) int {
+		return cmp.Or(cmp.Compare(max(a, -a), max(b, -b)), cmp.Compare(a, b))
+	})
+	cl = slices.Compact(cl)
+	for i := 1; i < len(cl); i++ {
+		if cl[i] == -cl[i-1] {
+			return nil, true
+		}
 	}
-	return b.String()
+	return cl, false
 }

@@ -1,53 +1,67 @@
 package cert
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+
+	"parserhawk/internal/pir"
+	"parserhawk/internal/tcam"
 )
 
 // Seeded-mutation negative testing: a checker is only trustworthy if it
 // rejects corrupted certificates, so CI corrupts every certificate it
 // validates and demands rejection. Mutations are deterministic in the
 // seed. Each candidate is re-checked here — FailingMutations returns
-// only mutants that SelfCheck actually rejects and errors if any
+// only mutants the checker actually rejects and errors if a mandatory
 // category cannot produce one, which would mean the checker has gone
 // insensitive to that kind of corruption.
 
 // Mutation is one corrupted variant of a certificate.
 type Mutation struct {
-	Name string
+	Name string // category, such as "program-retarget"
+	Edit string // the corruption, such as "row 0.1 entry 2 -> accept"
 	Cert *Certificate
 }
 
 // FailingMutations derives one failing mutant per applicable category:
-// a dropped witness pair, a corrupted witness pair, and — when a proof
-// bundle is present — a dropped DRAT addition line and a flipped DRAT
-// literal. The input certificate must itself pass SelfCheck.
+// a dropped TCAM entry and a retargeted one, each a program the walk
+// refutes, and — when a proof bundle is present — a dropped DRAT
+// addition line and a flipped DRAT literal. The input certificate must
+// itself pass SelfCheck.
 func FailingMutations(c *Certificate, seed int64) ([]Mutation, error) {
 	if err := c.SelfCheck(); err != nil {
 		return nil, fmt.Errorf("cert: mutate: certificate fails before mutation: %w", err)
 	}
+	// SelfCheck has decoded both, so neither decode can fail.
+	eff, _ := DecodeSpecJSON(c.Effective)
+	prog, _ := tcam.DecodeJSON(c.Program)
 	rng := rand.New(rand.NewSource(seed))
 	var out []Mutation
 
-	mutant, err := failingWitnessMutation(c, rng, "witness-drop-pair", dropPair)
-	if err != nil {
-		return nil, err
+	drops, retargets := programEdits(prog)
+	for _, pm := range []struct {
+		name  string
+		edits []entryEdit
+	}{
+		{"program-drop-entry", drops},
+		{"program-retarget", retargets},
+	} {
+		mutant, err := failingProgramMutation(c, eff, rng, pm.name, pm.edits)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, mutant)
 	}
-	out = append(out, mutant)
-	mutant, err = failingWitnessMutation(c, rng, "witness-corrupt-pair", corruptPair)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, mutant)
 
 	if c.Proof != nil && len(c.Proof.DRAT) > 0 {
 		// Proof mutations are best-effort: when the bundled CNF is
 		// refutable by unit propagation alone, the checker derives the
 		// contradiction from the instance itself and every proof — however
 		// corrupted — is validly accepted, so no failing mutant exists.
-		// That is sound (the proof is then redundant), and witness
+		// That is sound (the proof is then redundant), and program
 		// mutations above still exercise the checker on such certificates.
 		for _, pm := range []struct {
 			name string
@@ -76,31 +90,60 @@ func cloneCert(c *Certificate) (*Certificate, error) {
 	return Decode(data)
 }
 
-func failingWitnessMutation(c *Certificate, rng *rand.Rand, name string, f func(*Witness, int)) (Mutation, error) {
-	if c.Witness == nil || len(c.Witness.Pairs) == 0 {
-		return Mutation{}, fmt.Errorf("cert: mutate: certificate has no witness pairs to corrupt")
+// entryEdit applies one single-entry corruption to a decoded program and
+// describes it.
+type entryEdit func(*tcam.Program) string
+
+// failingProgramMutation tries one category's edits from a seeded start,
+// each on a freshly decoded copy of the certificate's program, and keeps
+// the first mutant the walk refutes.
+func failingProgramMutation(c *Certificate, eff *pir.Spec, rng *rand.Rand, name string, edits []entryEdit) (Mutation, error) {
+	if len(edits) == 0 {
+		return Mutation{}, fmt.Errorf("cert: mutate: %s: program has no entry to corrupt", name)
 	}
-	n := len(c.Witness.Pairs)
-	start := rng.Intn(n)
-	for off := 0; off < n; off++ {
-		m, err := cloneCert(c)
-		if err != nil {
+	start := rng.Intn(len(edits))
+	for off := range edits {
+		p, _ := tcam.DecodeJSON(c.Program)
+		what := edits[(start+off)%len(edits)](p)
+		if !errors.Is(Walk(eff, p), ErrMismatch) {
+			continue
+		}
+		m := *c
+		var err error
+		if m.Program, err = p.EncodeJSON(); err != nil {
 			return Mutation{}, err
 		}
-		f(m.Witness, (start+off)%n)
-		if m.SelfCheck() != nil {
-			return Mutation{Name: name, Cert: m}, nil
+		return Mutation{Name: name, Edit: what, Cert: &m}, nil
+	}
+	return Mutation{}, fmt.Errorf("cert: mutate: %s: the walk refutes none of %d mutants", name, len(edits))
+}
+
+// programEdits lists the single-entry corruptions of prog: dropping an
+// entry (a row left without entries rejects every packet) and sending it
+// to another target (accept, reject or any row).
+func programEdits(prog *tcam.Program) (drops, retargets []entryEdit) {
+	targets := []tcam.Target{tcam.AcceptTarget, tcam.RejectTarget}
+	for _, s := range prog.States {
+		targets = append(targets, tcam.To(s.Table, s.ID))
+	}
+	for si, s := range prog.States {
+		for ei, en := range s.Entries {
+			entry := fmt.Sprintf("row %d.%d entry %d", s.Table, s.ID, ei)
+			drops = append(drops, func(p *tcam.Program) string {
+				p.States[si].Entries = slices.Delete(p.States[si].Entries, ei, ei+1)
+				return "drop " + entry
+			})
+			for _, t := range targets {
+				if t != en.Next {
+					retargets = append(retargets, func(p *tcam.Program) string {
+						p.States[si].Entries[ei].Next = t
+						return fmt.Sprintf("%s -> %s", entry, t)
+					})
+				}
+			}
 		}
 	}
-	return Mutation{}, fmt.Errorf("cert: mutate: %s: no pair mutation is rejected by the checker", name)
-}
-
-func dropPair(w *Witness, i int) {
-	w.Pairs = append(w.Pairs[:i:i], w.Pairs[i+1:]...)
-}
-
-func corruptPair(w *Witness, i int) {
-	w.Pairs[i].Partial++
+	return drops, retargets
 }
 
 func failingProofMutation(c *Certificate, rng *rand.Rand, name string, f func([]string, int) []string) (Mutation, bool, error) {
@@ -131,7 +174,7 @@ func failingProofMutation(c *Certificate, rng *rand.Rand, name string, f func([]
 		}
 		m.Proof.DRAT = []byte(strings.Join(mutated, "\n"))
 		if m.SelfCheck() != nil {
-			return Mutation{Name: name, Cert: m}, true, nil
+			return Mutation{Name: name, Edit: fmt.Sprintf("proof line %d", i+1), Cert: m}, true, nil
 		}
 	}
 	// Every corruption of this kind still checks: the instance is

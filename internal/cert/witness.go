@@ -10,8 +10,9 @@ import (
 	"parserhawk/internal/tcam"
 )
 
-// This file implements the bisimulation-witness checker: a symbolic
-// product-automaton traversal of (effective spec × TCAM program).
+// This file implements the walk: a symbolic product-automaton traversal
+// of (effective spec × TCAM program) that proves the two equivalent or
+// finds a branch where they disagree.
 //
 // The two machines disagree on phase — the spec extracts a state's
 // fields and THEN matches its key at the advanced cursor, while a TCAM
@@ -38,24 +39,25 @@ import (
 // Branches are explored first-match-wins on both sides; infeasible
 // branches (the accumulated literals and clauses are unsatisfiable) are
 // pruned by a small DPLL. Everything unknown is a fresh unconstrained
-// atom, which makes the traversal an over-approximation of the real
-// joint behavior: if it proves agreement, the machines agree on every
-// packet, while a spurious disagreement can only reject a good witness,
-// never accept a bad one.
+// atom, so the branches over-approximate the joint runs: every packet
+// follows some branch, and a spurious disagreement can only refute a
+// correct program. The branches do not model the device's visit bound,
+// which ends a loop that consumes nothing (stutterCycle).
 
-// ErrMismatch marks a witness failure where the two machines disagree on
-// a branch the walk found feasible: different extractions, or different
-// verdicts. Every other failure (the configuration limit, a field-table
-// mismatch, a zero-progress cycle) means the walk could not decide, not
-// that the program is wrong.
+// ErrMismatch marks a walk failure where the two machines disagree on a
+// branch the walk found feasible: different extractions, different
+// verdicts, or an implementation that cycles without consuming input
+// while the spec side has not rejected. Every other failure (the
+// configuration limit, a field-table mismatch, a zero-progress spec
+// cycle) means the walk could not decide, not that the program is wrong.
 var ErrMismatch = errors.New("machines disagree")
 
 const (
 	specAccept = -1
 	specReject = -2
 
-	// maxConfigs bounds the product traversal; certificates whose
-	// product space exceeds it are rejected as uncheckable.
+	// maxConfigs bounds the product traversal; programs whose product
+	// space exceeds it are left undecided.
 	maxConfigs = 200000
 )
 
@@ -117,6 +119,7 @@ type config struct {
 	table   int
 	state   int
 	st      *store
+	key     string // canonical key, set by enroll
 }
 
 func (c *config) clone() *config {
@@ -130,8 +133,9 @@ type engine struct {
 	next    int32 // next fresh atom id; 0 is the constant-zero atom
 	seen    map[string]bool
 	queue   []*config
-	pairs   map[Pair]bool
-	allowed map[Pair]bool // nil in build mode
+	// stutters are the feasible transitions that extracted nothing while
+	// the spec side had not rejected, as (from, to) configurations.
+	stutters [][2]*config
 }
 
 func (e *engine) fresh() int32 {
@@ -140,12 +144,12 @@ func (e *engine) fresh() int32 {
 }
 
 func (e *engine) failf(format string, args ...any) error {
-	return fmt.Errorf("cert: witness: "+format, args...)
+	return fmt.Errorf("cert: walk: "+format, args...)
 }
 
 // mismatchf is failf for a disagreement between the machines.
 func (e *engine) mismatchf(format string, args ...any) error {
-	return fmt.Errorf("cert: witness: %w: "+format, append([]any{ErrMismatch}, args...)...)
+	return fmt.Errorf("cert: walk: %w: "+format, append([]any{ErrMismatch}, args...)...)
 }
 
 func specName(eff *pir.Spec, spec int) string {
@@ -168,92 +172,42 @@ func specTargetIndex(t pir.Target) int {
 	return t.State
 }
 
-// BuildWitness traverses the product automaton and returns the witness
-// covering every reachable joint configuration. Construction doubles as
-// an independent verification: it fails if any feasible branch shows
-// the two machines disagreeing.
-func BuildWitness(eff *pir.Spec, prog *tcam.Program) (*Witness, error) {
-	pairs, err := traverse(eff, prog, nil)
-	if err != nil {
-		return nil, err
-	}
-	w := &Witness{}
-	for p := range pairs {
-		w.Pairs = append(w.Pairs, p)
-	}
-	sort.Slice(w.Pairs, func(i, j int) bool {
-		a, b := w.Pairs[i], w.Pairs[j]
-		if a.Impl != b.Impl {
-			return a.Impl < b.Impl
-		}
-		if a.Spec != b.Spec {
-			return a.Spec < b.Spec
-		}
-		return a.Partial < b.Partial
-	})
-	return w, nil
-}
-
-// CheckWitness re-traverses the product automaton and verifies that the
-// witness covers every reachable joint configuration, that every
-// transition either machine takes is matched by the other, and that
-// extractions agree bit-for-bit. It is fully independent of the
+// Walk traverses the product automaton of the effective spec and the
+// program. It returns nil when the machines agree on every branch, an
+// ErrMismatch error when they disagree on a feasible one, and another
+// error when the walk cannot decide. It is fully independent of the
 // synthesizer and of internal/core/verify.go.
-func CheckWitness(eff *pir.Spec, prog *tcam.Program, w *Witness) error {
-	if w == nil {
-		return fmt.Errorf("cert: witness: missing witness")
-	}
-	allowed := make(map[Pair]bool, len(w.Pairs))
-	for _, p := range w.Pairs {
-		if p.Spec != "accept" && p.Spec != "reject" && eff.StateIndex(p.Spec) < 0 {
-			return fmt.Errorf("cert: witness: pair %s names unknown spec state %q", p, p.Spec)
-		}
-		var t, s int
-		if _, err := fmt.Sscanf(p.Impl, "%d.%d", &t, &s); err != nil || prog.Lookup(t, s) == nil {
-			return fmt.Errorf("cert: witness: pair %s names unknown TCAM row %q", p, p.Impl)
-		}
-		allowed[p] = true
-	}
-	_, err := traverse(eff, prog, allowed)
-	return err
-}
-
-// traverse runs the product traversal. With allowed == nil it collects
-// and returns the reachable pair set (build mode); otherwise every
-// reached pair must be in allowed (check mode).
-func traverse(eff *pir.Spec, prog *tcam.Program, allowed map[Pair]bool) (map[Pair]bool, error) {
+func Walk(eff *pir.Spec, prog *tcam.Program) error {
 	if len(eff.States) == 0 {
-		return nil, fmt.Errorf("cert: witness: effective spec has no states")
+		return fmt.Errorf("cert: walk: effective spec has no states")
 	}
 	if err := checkFieldTables(eff, prog); err != nil {
-		return nil, err
+		return err
 	}
 	e := &engine{
 		eff:     eff,
 		prog:    prog,
 		maxBack: computeMaxBack(prog),
 		seen:    map[string]bool{},
-		pairs:   map[Pair]bool{},
-		allowed: allowed,
 	}
 	c0 := &config{spec: 0, partial: 0, table: 0, state: 0, st: newStore()}
 	branches, err := e.normalize(c0, map[int]bool{})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, br := range branches {
 		if err := e.enroll(br); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for len(e.queue) > 0 {
 		c := e.queue[0]
 		e.queue = e.queue[1:]
 		if err := e.step(c); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return e.pairs, nil
+	return e.stutterCycle()
 }
 
 // checkFieldTables verifies that every field the program's states
@@ -263,14 +217,14 @@ func checkFieldTables(eff *pir.Spec, prog *tcam.Program) error {
 	check := func(name string) error {
 		pf, ok := prog.Spec.Field(name)
 		if !ok {
-			return fmt.Errorf("cert: witness: program references field %q absent from its own field table", name)
+			return fmt.Errorf("cert: walk: program references field %q absent from its own field table", name)
 		}
 		ef, ok := eff.Field(name)
 		if !ok {
-			return fmt.Errorf("cert: witness: program references field %q absent from the effective spec", name)
+			return fmt.Errorf("cert: walk: program references field %q absent from the effective spec", name)
 		}
 		if pf.Width != ef.Width || pf.Var != ef.Var {
-			return fmt.Errorf("cert: witness: field %q declared %d bits (var=%v) by the program but %d bits (var=%v) by the spec",
+			return fmt.Errorf("cert: walk: field %q declared %d bits (var=%v) by the program but %d bits (var=%v) by the spec",
 				name, pf.Width, pf.Var, ef.Width, ef.Var)
 		}
 		return nil
@@ -315,30 +269,21 @@ func computeMaxBack(prog *tcam.Program) int {
 }
 
 // enroll canonicalizes a normalized configuration whose impl side sits
-// at a TCAM row, checks witness coverage, and enqueues it if new.
+// at a TCAM row and enqueues it if new.
 func (e *engine) enroll(c *config) error {
 	if c.spec >= 0 && c.partial >= len(e.eff.States[c.spec].Extracts) {
 		// normalize() upholds this; a violation is a checker bug.
 		return e.failf("internal: unnormalized configuration enqueued")
 	}
 	gc(c.st)
-	key := e.canonicalKey(c)
-	if e.seen[key] {
+	c.key = e.canonicalKey(c)
+	if e.seen[c.key] {
 		return nil
 	}
 	if len(e.seen) >= maxConfigs {
 		return e.failf("product traversal exceeded %d configurations", maxConfigs)
 	}
-	e.seen[key] = true
-	pair := Pair{
-		Spec:    specName(e.eff, c.spec),
-		Partial: c.partial,
-		Impl:    fmt.Sprintf("%d.%d", c.table, c.state),
-	}
-	if e.allowed != nil && !e.allowed[pair] {
-		return e.failf("reachable configuration %s is not covered by the witness", pair)
-	}
-	e.pairs[pair] = true
+	e.seen[c.key] = true
 	e.queue = append(e.queue, c)
 	return nil
 }
@@ -350,9 +295,7 @@ func (e *engine) enroll(c *config) error {
 func (e *engine) step(c *config) error {
 	ist := e.prog.Lookup(c.table, c.state)
 	if ist == nil {
-		// Transition into a missing row rejects in tcam.RunFrom; enroll
-		// refuses such configs earlier via the witness pre-validation,
-		// but builds can reach one through a malformed program.
+		// Transition into a missing row rejects in tcam.RunFrom.
 		return e.requireSpecVerdict(c, specReject)
 	}
 	keyAtoms := e.resolveKey(c, ist.Key)
@@ -365,6 +308,9 @@ func (e *engine) step(c *config) error {
 			if br.assume(lits, negs) {
 				if err := e.consume(br, en.Extracts, en.Next); err != nil {
 					return err
+				}
+				if len(en.Extracts) == 0 && en.Next.Kind == tcam.ToState && c.spec != specReject {
+					e.stutters = append(e.stutters, [2]*config{c, br})
 				}
 			}
 		}
@@ -449,6 +395,44 @@ func (e *engine) requireSpecVerdict(c *config, want int) error {
 	}
 	return e.mismatchf("implementation reached %s but spec state %q still expects extraction",
 		specName(e.eff, want), e.eff.States[c.spec].Name)
+}
+
+// stutterCycle fails when the recorded transitions that extract nothing
+// reach a cycle. Such a transition changes neither the cursor nor the
+// spec side, so a packet the cycle admits takes it forever: the device
+// rejects at its visit bound while the spec side, which has not
+// rejected, may still accept. The transitions come from over-approximated
+// branches, so this may refute a correct program, say one whose spec side
+// rejects on every continuation anyway. The depth-first search starts
+// from canonical keys in sorted order, so the message is deterministic.
+func (e *engine) stutterCycle() error {
+	succ := map[string][]string{}
+	var from []*config
+	for _, s := range e.stutters {
+		from = append(from, s[0])
+		succ[s[0].key] = append(succ[s[0].key], s[1].key)
+	}
+	sort.Slice(from, func(i, j int) bool { return from[i].key < from[j].key })
+	const onPath, done = 1, 2
+	mark := map[string]int{}
+	var cyclic func(k string) bool
+	cyclic = func(k string) bool {
+		mark[k] = onPath
+		for _, n := range succ[k] {
+			if mark[n] == onPath || mark[n] == 0 && cyclic(n) {
+				return true
+			}
+		}
+		mark[k] = done
+		return false
+	}
+	for _, c := range from {
+		if mark[c.key] == 0 && cyclic(c.key) {
+			return e.mismatchf("implementation loops without consuming input from row %d.%d while the spec side is at %s",
+				c.table, c.state, specName(e.eff, c.spec))
+		}
+	}
+	return nil
 }
 
 // normalize resolves the spec side until it either terminates or has a

@@ -2,8 +2,10 @@ package cert
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"parserhawk/internal/bitstream"
 	"parserhawk/internal/pir"
 	"parserhawk/internal/tcam"
 )
@@ -54,42 +56,40 @@ func miniProg(spec *pir.Spec) *tcam.Program {
 	}
 }
 
+// TestWitnessRoundTrip: the walk proves the translation, a certificate
+// carrying the spec and program survives Encode and Decode and checks,
+// and Decode refuses another schema version.
 func TestWitnessRoundTrip(t *testing.T) {
 	spec := miniSpec(t)
 	prog := miniProg(spec)
-	w, err := BuildWitness(spec, prog)
+	if err := Walk(spec, prog); err != nil {
+		t.Fatalf("Walk: %v", err)
+	}
+	eff, err := EncodeSpecJSON(spec)
 	if err != nil {
-		t.Fatalf("BuildWitness: %v", err)
+		t.Fatal(err)
 	}
-	want := map[Pair]bool{
-		{Spec: "start", Impl: "0.0"}: true,
-		{Spec: "v4", Impl: "0.1"}:    true,
-	}
-	if len(w.Pairs) != len(want) {
-		t.Fatalf("got pairs %v, want %v", w.Pairs, want)
-	}
-	for _, p := range w.Pairs {
-		if !want[p] {
-			t.Fatalf("unexpected pair %s", p)
-		}
-	}
-	if err := CheckWitness(spec, prog, w); err != nil {
-		t.Fatalf("CheckWitness: %v", err)
-	}
-}
-
-func TestWitnessRejectsMissingPair(t *testing.T) {
-	spec := miniSpec(t)
-	prog := miniProg(spec)
-	w, err := BuildWitness(spec, prog)
+	pj, err := prog.EncodeJSON()
 	if err != nil {
-		t.Fatalf("BuildWitness: %v", err)
+		t.Fatal(err)
 	}
-	for i := range w.Pairs {
-		cut := &Witness{Pairs: append(append([]Pair(nil), w.Pairs[:i]...), w.Pairs[i+1:]...)}
-		if err := CheckWitness(spec, prog, cut); err == nil {
-			t.Fatalf("dropping pair %s was not rejected", w.Pairs[i])
-		}
+	data, err := (&Certificate{Version: Version, Spec: spec.Name, Effective: eff, Program: pj}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if err := c.SelfCheck(); err != nil {
+		t.Fatalf("SelfCheck: %v", err)
+	}
+	c.Version = 1
+	if data, err = c.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); err == nil {
+		t.Fatal("Decode accepted a version-1 certificate")
 	}
 }
 
@@ -99,12 +99,8 @@ func TestWitnessCatchesWrongTarget(t *testing.T) {
 	// Corrupt the program: the IPv4 branch accepts immediately instead
 	// of extracting the next byte.
 	prog.States[0].Entries[0].Next = tcam.AcceptTarget
-	if _, err := BuildWitness(spec, prog); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("BuildWitness on a program that skips an extraction: %v, want ErrMismatch", err)
-	}
-	w, _ := BuildWitness(spec, miniProg(spec))
-	if err := CheckWitness(spec, prog, w); err == nil {
-		t.Fatal("CheckWitness accepted a program that skips an extraction")
+	if err := Walk(spec, prog); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("Walk on a program that skips an extraction: %v, want ErrMismatch", err)
 	}
 }
 
@@ -112,8 +108,8 @@ func TestWitnessCatchesExtractionMismatch(t *testing.T) {
 	spec := miniSpec(t)
 	prog := miniProg(spec)
 	prog.States[0].Entries[1].Extracts = nil // accept path forgets the extraction
-	if _, err := BuildWitness(spec, prog); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("BuildWitness on a program that drops an extraction: %v, want ErrMismatch", err)
+	if err := Walk(spec, prog); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("Walk on a program that drops an extraction: %v, want ErrMismatch", err)
 	}
 }
 
@@ -125,8 +121,8 @@ func TestWitnessShadowedEntryPruned(t *testing.T) {
 	prog.States[0].Entries = append(prog.States[0].Entries, tcam.Entry{
 		Value: 0x1234, Mask: 0xffff, Next: tcam.RejectTarget,
 	})
-	if _, err := BuildWitness(spec, prog); err != nil {
-		t.Fatalf("BuildWitness rejected a program with a shadowed entry: %v", err)
+	if err := Walk(spec, prog); err != nil {
+		t.Fatalf("Walk rejected a program with a shadowed entry: %v", err)
 	}
 }
 
@@ -136,8 +132,55 @@ func TestWitnessNoMatchMustReject(t *testing.T) {
 	spec := miniSpec(t)
 	prog := miniProg(spec)
 	prog.States[0].Entries = prog.States[0].Entries[:1] // only the 0x0800 entry
-	if _, err := BuildWitness(spec, prog); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("BuildWitness on a program with an uncovered key space: %v, want ErrMismatch", err)
+	if err := Walk(spec, prog); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("Walk on a program with an uncovered key space: %v, want ErrMismatch", err)
+	}
+}
+
+// TestWalkRefutesNonConsumingCycle: the spec extracts a 4-bit a and
+// accepts. When a's top bit is 0, rows 0.0 and 0.1 send the packet to
+// each other without extracting anything, so the device rejects at its
+// visit bound. Every single transition agrees with the spec; only the
+// cycle disagrees.
+func TestWalkRefutesNonConsumingCycle(t *testing.T) {
+	spec := pir.MustNew("stutter",
+		[]pir.Field{{Name: "a", Width: 4}},
+		[]pir.State{{Name: "start", Extracts: []pir.Extract{{Field: "a"}}, Default: pir.AcceptTarget}})
+	prog := &tcam.Program{
+		Spec: spec,
+		States: []tcam.State{
+			{
+				Table: 0, ID: 0,
+				Key: []pir.KeyPart{pir.LookaheadBits(0, 1)},
+				Entries: []tcam.Entry{
+					{Value: 1, Mask: 1, Extracts: []pir.Extract{{Field: "a"}}, Next: tcam.AcceptTarget},
+					{Value: 0, Mask: 0, Next: tcam.To(0, 1)},
+				},
+			},
+			{
+				Table: 0, ID: 1,
+				Entries: []tcam.Entry{{Value: 0, Mask: 0, Next: tcam.To(0, 0)}},
+			},
+		},
+	}
+	in := bitstream.FromUint(0x3, 4)
+	if got, want := prog.Run(in, 64), spec.Run(in, 64); got.Accepted || !want.Accepted {
+		t.Fatalf("fixture: device accepted=%v, spec accepted=%v on %s; want a reject against an accept", got.Accepted, want.Accepted, in)
+	}
+	err := Walk(spec, prog)
+	if !errors.Is(err, ErrMismatch) {
+		t.Fatalf("Walk on a non-consuming cycle: %v, want ErrMismatch", err)
+	}
+	const want = "loops without consuming input from row 0.0 while the spec side is at start"
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("Walk: %v, want a message containing %q", err, want)
+	}
+
+	// A non-consuming hop that leaves the cycle is no disagreement.
+	prog.States[1].Entries[0].Extracts = []pir.Extract{{Field: "a"}}
+	prog.States[1].Entries[0].Next = tcam.AcceptTarget
+	if err := Walk(spec, prog); err != nil {
+		t.Fatalf("Walk on a non-consuming hop to an extracting row: %v", err)
 	}
 }
 
@@ -149,9 +192,9 @@ func TestWitnessFieldWidthIsNoMismatch(t *testing.T) {
 	prog := miniProg(pir.MustNew("mini",
 		[]pir.Field{{Name: "ethertype", Width: 16}, {Name: "v4", Width: 16}},
 		spec.States))
-	_, err := BuildWitness(spec, prog)
+	err := Walk(spec, prog)
 	if err == nil || errors.Is(err, ErrMismatch) {
-		t.Fatalf("BuildWitness on a field-width mismatch: %v, want a non-mismatch failure", err)
+		t.Fatalf("Walk on a field-width mismatch: %v, want a non-mismatch failure", err)
 	}
 }
 
@@ -201,5 +244,26 @@ func TestCheckDRATDeletion(t *testing.T) {
 	proof := "2 0\nd 1 2 0\n0\n"
 	if err := CheckDRAT([]byte(cnf), []byte(proof)); err != nil {
 		t.Fatalf("refutation with deletion rejected: %v", err)
+	}
+}
+
+// TestCheckDRATRepeatedLiteral: a clause that repeats a literal means
+// the clause without the repeat, and one holding l and ¬l is satisfied.
+func TestCheckDRATRepeatedLiteral(t *testing.T) {
+	for _, first := range []string{"1 2 0", "1 1 2 0", "2 1 2 1 0"} {
+		cnf := "p cnf 3 4\n" + first + "\n-2 0\n-1 3 0\n-1 -3 0\n"
+		if err := CheckDRAT([]byte(cnf), []byte("0\n")); err != nil {
+			t.Errorf("first clause %q: valid refutation rejected: %v", first, err)
+		}
+	}
+	// A tautology constrains nothing: this instance is satisfiable.
+	if err := CheckDRAT([]byte("p cnf 2 2\n1 -1 0\n-2 2 0\n"), []byte("0\n")); err == nil {
+		t.Error("claimed refutation of a satisfiable instance with tautologies accepted")
+	}
+	// A deletion names its clause in the same normal form: once "1 2"
+	// is deleted by "d 2 1 1", re-adding it is no longer RUP.
+	err := CheckDRAT([]byte("p cnf 2 1\n1 2 0\n"), []byte("d 2 1 1 0\n1 2 0\n0\n"))
+	if err == nil || !strings.Contains(err.Error(), "not RUP") {
+		t.Errorf("re-adding a deleted clause: %v, want a non-RUP rejection", err)
 	}
 }

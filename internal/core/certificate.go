@@ -13,11 +13,11 @@ import (
 
 // buildCertificate assembles the proof-carrying artifact for a finished
 // compile: the effective spec the synthesizer targeted, the program it
-// produced, the bisimulation witness that accepted it, and — when proof
-// logging was on — the DRAT bundle for the hardest UNSAT query. Failures
-// to build any half are recorded inside the certificate rather than
-// failing the compile: a missing witness is an unverifiable result, and
-// it is the checker's job (not the compiler's) to refuse it.
+// produced, and — when proof logging was on — the DRAT bundle for the
+// hardest UNSAT query. Failures, an undecided acceptance walk included,
+// are recorded inside the certificate rather than failing the compile:
+// such a result is unverifiable, and it is the checker's job (not the
+// compiler's) to refuse it.
 func buildCertificate(orig, eff *pir.Spec, profile hw.Profile, unroll int, res *Result, proof *QueryDump) *cert.Certificate {
 	c := &cert.Certificate{
 		Version: cert.Version,
@@ -36,11 +36,10 @@ func buildCertificate(orig, eff *pir.Spec, profile hw.Profile, unroll int, res *
 		c.Error = fmt.Sprintf("encoding program: %v", err)
 		return c
 	}
-	if res.witnessErr != nil {
-		c.Error = fmt.Sprintf("building witness: %v", res.witnessErr)
+	if res.walkErr != nil {
+		c.Error = res.walkErr.Error()
 		return c
 	}
-	c.Witness = res.witness
 	if proof != nil {
 		c.Proof = &cert.ProofBundle{
 			Skeleton:  proof.Skeleton,

@@ -37,7 +37,7 @@ func certCompile(t *testing.T, b benchdata.Benchmark, profile hw.Profile) *core.
 
 // TestCertificateEndToEnd compiles representative Table 3 benchmarks on
 // both scaled targets and validates the emitted certificate exactly the
-// way hawkcheck does: decode, self-check (witness + DRAT), pin the spec
+// way hawkcheck does: decode, self-check (walk + DRAT), pin the spec
 // hash, and recompute the effective spec independently. The full-suite
 // sweep runs in CI via hawkcheck -table3.
 func TestCertificateEndToEnd(t *testing.T) {
@@ -182,7 +182,7 @@ parser Z {
 // ladder (errScalingMisled, as Table 4's ME-2 also does); there the walk
 // can neither prove nor refute the candidate, and the counterexample
 // search's verdict stands. The result is correct on every input, and its
-// certificate records why it carries no witness.
+// certificate records why the walk could not decide.
 func TestUndecidedWalkAfterScalingMisled(t *testing.T) {
 	spec, err := p4.ParseSpec(lookaheadLoopSpec)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestUndecidedWalkAfterScalingMisled(t *testing.T) {
 	}
 	const want = `zero-progress cycle through spec state "start"`
 	if c := res.Certificate; c == nil || !strings.Contains(c.Error, want) {
-		t.Errorf("certificate %+v: want a witness failure containing %q", c, want)
+		t.Errorf("certificate %+v: want an undecided walk containing %q", c, want)
 	}
 	eff, err := core.EffectiveSpec(spec, profile, opts)
 	if err != nil {

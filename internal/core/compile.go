@@ -25,16 +25,14 @@ type Result struct {
 	Stats     Stats
 	// Certificate is the proof-carrying artifact built when
 	// Options.EmitCertificate is set: the effective spec, the program,
-	// a bisimulation witness, and optionally a DRAT proof bundle, all
-	// checkable by internal/cert (and the hawkcheck CLI) without
-	// trusting this package.
+	// and optionally a DRAT proof bundle, all checkable by internal/cert
+	// (and the hawkcheck CLI) without trusting this package.
 	Certificate *cert.Certificate
 
-	// witness is the proof that accepted Program (cert.BuildWitness against
-	// the effective spec), or witnessErr when the walk could not decide;
-	// the certificate reuses it.
-	witness    *cert.Witness
-	witnessErr error
+	// walkErr is why the walk (cert.Walk against the effective spec)
+	// could not decide Program, or nil when it proved it; the
+	// certificate records it.
+	walkErr error
 }
 
 // ErrTimeout reports that the compilation budget expired before any
@@ -286,8 +284,8 @@ func lintFixpoint(spec *pir.Spec, profile hw.Profile, opts Options) (*pir.Spec, 
 // applies before synthesis — the lint/prune fixpoint, the default loop
 // bound, and unrolling for loopy specs on loop-free targets — without
 // running any synthesis. hawkcheck uses it to recompute, from the input
-// spec alone, the effective spec a certificate's witness must relate to
-// the program, refusing certificates built against anything else.
+// spec alone, the effective spec a certificate's walk must relate to the
+// program, refusing certificates built against anything else.
 func EffectiveSpec(spec *pir.Spec, profile hw.Profile, opts Options) (*pir.Spec, error) {
 	pruned, _, err := lintFixpoint(spec, profile, opts)
 	if err != nil {
@@ -649,7 +647,7 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 }
 
 // prove decides a candidate the counterexample search found nothing
-// against: cert.BuildWitness walks the full-width program against the
+// against: cert.Walk walks the full-width program against the
 // original effective spec (undoing Opt2 scaling). The post-optimized
 // program is kept only if the walk proves it. Folding changes iteration
 // counts, which at the unrolling bound K can shift an outcome, so
@@ -667,7 +665,7 @@ func (eng *skeletonEngine) prove(sy *synthesizer) (res *Result, refuted bool, er
 		// many stages); a larger budget will not help.
 		return nil, false, err
 	}
-	w, werr := cert.BuildWitness(eng.effOrig, final)
+	werr := cert.Walk(eng.effOrig, final)
 	if werr != nil {
 		final = unoptimized
 		if eng.profile.Arch != hw.SingleTable {
@@ -675,7 +673,7 @@ func (eng *skeletonEngine) prove(sy *synthesizer) (res *Result, refuted bool, er
 				return nil, false, errBudgetTooSmall
 			}
 		}
-		w, werr = cert.BuildWitness(eng.effOrig, final)
+		werr = cert.Walk(eng.effOrig, final)
 	}
 	switch {
 	case werr != nil && eng.effSynth != eng.effOrig:
@@ -686,7 +684,7 @@ func (eng *skeletonEngine) prove(sy *synthesizer) (res *Result, refuted bool, er
 	if err := eng.profile.Validate(final); err != nil {
 		return nil, false, errBudgetTooSmall // exceeds device limits at this shape; try next budget
 	}
-	return &Result{Program: final, Resources: final.Resources(), witness: w, witnessErr: werr}, false, nil
+	return &Result{Program: final, Resources: final.Resources(), walkErr: werr}, false, nil
 }
 
 // skeletonLowerBound computes the minimum total entry count any correct

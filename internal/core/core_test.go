@@ -337,7 +337,7 @@ func TestNaiveWireDashIsProved(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cert.BuildWitness(eff, res.Program); err != nil {
+			if err := cert.Walk(eff, res.Program); err != nil {
 				t.Errorf("returned program not proved: %v\n%s", err, res.Program)
 			}
 			if rep := sim.Check(eff, res.Program, 50000, 0, 0, 1); !rep.OK() {

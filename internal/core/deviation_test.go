@@ -174,23 +174,16 @@ func TestWitnessCatchesInteriorHopDeviation(t *testing.T) {
 	bad := brokenChainProg(spec)
 
 	// The certificate-side checker accepts the correct translation...
-	w, err := cert.BuildWitness(spec, good)
-	if err != nil {
-		t.Fatalf("BuildWitness rejected the correct program: %v", err)
-	}
-	if err := cert.CheckWitness(spec, good, w); err != nil {
-		t.Fatalf("CheckWitness rejected the correct program: %v", err)
+	if err := cert.Walk(spec, good); err != nil {
+		t.Fatalf("Walk rejected the correct program: %v", err)
 	}
 
 	// ...and independently rejects the deviating one, even though the
-	// deviation is silent on almost all inputs. The witness checker's
-	// product traversal explores the symbolic configuration where the
-	// impl wrongly sits in mid while the spec has accepted, so it does
-	// not depend on any concrete input hitting the 2^-16 corner.
-	if _, err := cert.BuildWitness(spec, bad); err == nil {
-		t.Fatal("BuildWitness accepted a program with a wrong interior-hop mask bit")
-	}
-	if err := cert.CheckWitness(spec, bad, w); err == nil {
-		t.Fatal("CheckWitness accepted a program with a wrong interior-hop mask bit")
+	// deviation is silent on almost all inputs. The walk explores the
+	// symbolic configuration where the impl wrongly sits in mid while the
+	// spec has accepted, so it does not depend on any concrete input
+	// hitting the 2^-16 corner.
+	if err := cert.Walk(spec, bad); err == nil {
+		t.Fatal("Walk accepted a program with a wrong interior-hop mask bit")
 	}
 }

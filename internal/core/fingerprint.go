@@ -20,8 +20,8 @@ import "fmt"
 //   - QuerySink / Seed-independent instrumentation: observation only.
 //   - EmitCertificate / LogProofs: certificates and DRAT logs describe
 //     the compilation without steering it — proof logging appends to a
-//     side buffer and never changes a solver decision, and the witness
-//     is built from the finished program. The compile service relies on
+//     side buffer and never changes a solver decision, and the
+//     certificate is built from the finished program. The compile service relies on
 //     this: it forces EmitCertificate on regardless of what the client's
 //     fingerprint says.
 //

@@ -73,11 +73,10 @@ type Options struct {
 	QuerySink func(QueryDump)
 
 	// EmitCertificate attaches a checkable certificate to the Result: the
-	// effective spec, the compiled program, and a bisimulation witness the
-	// independent checker in internal/cert validates statically (plus a
-	// DRAT proof bundle when LogProofs is also set). Witness construction
-	// runs once per compile, after the portfolio picks a winner; a failure
-	// to construct one is recorded in the certificate, never an error.
+	// effective spec and the compiled program, which the independent walk
+	// in internal/cert proves equivalent (plus a DRAT proof bundle when
+	// LogProofs is also set). A walk that could not decide the program is
+	// recorded in the certificate, never an error.
 	// Off by default. Outcome-invariant: the same program is produced
 	// either way, so the flag is excluded from Fingerprint.
 	EmitCertificate bool

@@ -16,7 +16,7 @@ import (
 // specification through every transition rule — then stochastic directed
 // walks, mirroring the paper's simulator-based validation (Figure 22).
 // Finding nothing is not a proof: runBudget proves a candidate the search
-// passes with cert.BuildWitness.
+// passes with cert.Walk.
 //
 // A verifier belongs to one budget runner and is not safe for concurrent
 // use: its RNG, input buffer and registers are reused across calls.

@@ -206,7 +206,7 @@ func TestSplitKeyMaskRegression(t *testing.T) {
 // 12-bit key limit splits across two TCAM states, so the program takes
 // several steps per spec iteration, and at the spec's own visit budget it
 // rejected packets the spec accepts deep in the loop. Both programs are
-// correct (cert.BuildWitness proves them); every machine runs at a budget
+// correct (cert.Walk proves them); every machine runs at a budget
 // no input of the campaign's length can exhaust. At each packet seed and
 // count below, a 64-visit budget reports the divergence.
 func TestLoopSplitKeyBudgetRegression(t *testing.T) {

@@ -44,12 +44,12 @@ type t1Entry struct {
 //   - exact (stored spec text == requester's): the stored program,
 //     certificate, and verdict are replayed byte-for-byte.
 //   - alias (same canonical form, different text): ok verdicts only, and
-//     only when no certificate was requested (certificate witnesses name
-//     states) and no loop unrolling applies (the bound defaulting is
-//     outside the canonical form). The stored program is renamed
-//     producer->canonical->requester and served only when
-//     cert.BuildWitness proves it equivalent to the requester's spec; any
-//     doubt is a miss.
+//     only when no certificate was requested (the stored certificate
+//     names the producer's spec) and no loop unrolling applies (the
+//     bound defaulting is outside the canonical form). The stored program
+//     is renamed producer->canonical->requester and served only when
+//     cert.Walk proves it equivalent to the requester's spec; any doubt
+//     is a miss.
 //
 // Store gating: ok verdicts are stored only when an independently
 // self-checked certificate vouches for them (EmitCertificate is forced on
@@ -91,9 +91,11 @@ func (c *Cache) CompileContext(ctx context.Context, spec *pir.Spec, profile hw.P
 }
 
 // t1Key derives the tier-1 cache key. Alias specs share it by
-// construction: they canonicalize to the same text.
+// construction: they canonicalize to the same text. The certificate
+// schema is part of it: an entry whose certificate cert.Decode refuses
+// would otherwise be looked up, recompiled and never replaced.
 func t1Key(canonText string, profile hw.Profile, opts core.Options) string {
-	return shaHex("t1\x00" + canonText + "\x00" + profile.Fingerprint() + "\x00" + opts.Fingerprint())
+	return shaHex(fmt.Sprintf("t1\x00%s\x00%s\x00%s\x00cert%d", canonText, profile.Fingerprint(), opts.Fingerprint(), cert.Version))
 }
 
 func shaHex(s string) string {
@@ -157,7 +159,7 @@ func (c *Cache) replay(e *t1Entry, spec *pir.Spec, wit *pir.Witness, profile hw.
 		}
 		// Alias replay.
 		if opts.EmitCertificate {
-			return nil, nil, false // witness pairs are named in producer states
+			return nil, nil, false // the stored certificate names the producer's spec
 		}
 		if spec.HasLoop() && !profile.AllowLoops() {
 			return nil, nil, false // unroll-bound defaulting sits outside the canonical form
@@ -168,10 +170,9 @@ func (c *Cache) replay(e *t1Entry, spec *pir.Spec, wit *pir.Witness, profile hw.
 		}
 		// The stored certificate vouched for the producer's program, not
 		// for this rename: prove the renamed program equivalent to the
-		// requester's spec with a fresh witness. The walk is complete, so
-		// a canonicalizer bug or a wrong stored program costs a miss, never
-		// a wrong answer.
-		if _, err := cert.BuildWitness(spec, renamed); err != nil {
+		// requester's spec with a fresh walk, so a canonicalizer bug or a
+		// wrong stored program that the walk refutes costs a miss.
+		if err := cert.Walk(spec, renamed); err != nil {
 			return nil, nil, false
 		}
 		hit(true)

@@ -9,10 +9,9 @@
 // stored program, certificate, and verdict byte-for-byte. An alias hit
 // (same canonical form, different text) re-names the stored program's
 // fields through the two isomorphism witnesses and serves it only once
-// internal/cert's bisimulation witness walk proves it equivalent to the
-// requester's spec. Every program the cache serves is thus vouched for by
+// internal/cert's walk proves it equivalent to the requester's spec. Every program the cache serves is thus vouched for by
 // internal/cert: an exact replay by its stored, self-checked certificate,
-// an alias replay by a fresh witness.
+// an alias replay by a fresh walk.
 //
 // Disk persistence is content-addressed: one file per entry under the
 // cache directory, written via temp-file + atomic rename, integrity-guarded

@@ -119,6 +119,73 @@ func TestExactReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStaleSchemaEntryMissesOnce files an entry holding a version-1
+// certificate where a key without the certificate schema would look. A
+// certificate request must miss once and store a current entry, which
+// the next request, in this process or another, replays.
+func TestStaleSchemaEntryMissesOnce(t *testing.T) {
+	dir := t.TempDir()
+	spec, profile, opts := smallSpec(t), hw.Tofino(), testOpts()
+	opts.EmitCertificate = true
+	res, err := core.Compile(spec, profile, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := *res.Certificate
+	stale.Version = 1
+	cj, err := stale.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pj, err := res.Program.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, wit, err := pir.Canonicalize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldKey := shaHex("t1\x00" + canon.String() + "\x00" + profile.Fingerprint() + "\x00" + opts.Fingerprint())
+	c0.mu.Lock()
+	c0.writeEntry(oldKey, &t1Entry{
+		SpecSHA: shaHex(spec.String()), Verdict: verdictOK,
+		ProgramJSON: pj, Cert: cj, FieldCanon: wit.FieldToCanon(),
+	})
+	c0.mu.Unlock()
+
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []Stats{{T1Misses: 1, T1Stores: 1}, {T1Misses: 1, T1Stores: 1, T1Hits: 1}} {
+		res, err := c.CompileContext(context.Background(), spec, profile, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Certificate == nil || res.Certificate.Version != cert.Version {
+			t.Fatalf("request %d: certificate %+v, want schema %d", i+1, res.Certificate, cert.Version)
+		}
+		st := c.Stats()
+		if got := (Stats{T1Hits: st.T1Hits, T1Misses: st.T1Misses, T1Stores: st.T1Stores}); got != want {
+			t.Fatalf("request %d: stats %+v, want %+v", i+1, got, want)
+		}
+	}
+	c2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.CompileContext(context.Background(), spec, profile, opts); err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.T1Hits != 1 || st.T1Misses != 0 {
+		t.Fatalf("second process: %+v, want one hit", st)
+	}
+}
+
 func TestAliasHitRenamesAndVerifies(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -296,7 +363,7 @@ func TestLoopyAliasOnLoopCapableDeviceIsServed(t *testing.T) {
 	if st := c.Stats(); st.T1AliasHits != 1 || st.T1Misses != 1 {
 		t.Fatalf("loopy alias was not served: %+v", st)
 	}
-	if _, err := cert.BuildWitness(alias.Spec, res.Program); err != nil {
+	if err := cert.Walk(alias.Spec, res.Program); err != nil {
 		t.Fatalf("served program has no witness against the alias: %v", err)
 	}
 	if rep := sim.Check(alias.Spec, res.Program, 2000, 16, 0, 7); !rep.OK() {
@@ -365,8 +432,8 @@ func TestWellFormedWrongEntryIsRefused(t *testing.T) {
 	if !tampered {
 		t.Fatalf("stored program has no masked entry:\n%s", prog)
 	}
-	if _, err := cert.BuildWitness(producer, prog); err == nil {
-		t.Fatalf("tampered program still has a witness:\n%s", prog)
+	if err := cert.Walk(producer, prog); err == nil {
+		t.Fatalf("the walk still proves the tampered program:\n%s", prog)
 	}
 	if e.ProgramJSON, err = prog.EncodeJSON(); err != nil {
 		t.Fatal(err)
@@ -387,7 +454,7 @@ func TestWellFormedWrongEntryIsRefused(t *testing.T) {
 	if st := c2.Stats(); st.T1AliasHits != 0 || st.T1Misses != 1 || st.Corrupt != 0 {
 		t.Fatalf("a wrong stored program must be a clean miss: %+v", st)
 	}
-	if _, err := cert.BuildWitness(alias, res.Program); err != nil {
+	if err := cert.Walk(alias, res.Program); err != nil {
 		t.Fatalf("fresh compile after the miss is wrong: %v", err)
 	}
 }
@@ -415,7 +482,7 @@ func TestConcurrentCompilesShareOneCache(t *testing.T) {
 			for _, spec := range specs {
 				res, err := c.CompileContext(context.Background(), spec, profile, opts)
 				if err == nil {
-					_, err = cert.BuildWitness(spec, res.Program)
+					err = cert.Walk(spec, res.Program)
 				}
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", spec.Name, err)

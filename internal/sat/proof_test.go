@@ -96,7 +96,9 @@ func distinct3(rng *rand.Rand, n int) [3]int {
 
 // TestProofCertifiesRandom3SAT solves seeded random 3-SAT instances at
 // clause ratio 4.3, where about half are unsatisfiable: every refutation
-// must check and every model must satisfy the instance.
+// must check and every model must satisfy the instance. A clause may
+// repeat a variable, so the dumped CNF holds repeated literals and
+// tautologies, which the DRAT checker must read in normal form.
 func TestProofCertifiesRandom3SAT(t *testing.T) {
 	const vars, clauses = 60, 258
 	verdicts := map[sat.Status]int{}
@@ -109,8 +111,8 @@ func TestProofCertifiesRandom3SAT(t *testing.T) {
 		var cnf [][]sat.Lit
 		for i := 0; i < clauses; i++ {
 			cl := make([]sat.Lit, 3)
-			for j, v := range distinct3(rng, vars) {
-				cl[j] = sat.MkLit(v, rng.Intn(2) == 0)
+			for j := range cl {
+				cl[j] = sat.MkLit(rng.Intn(vars), rng.Intn(2) == 0)
 			}
 			cnf = append(cnf, cl)
 			s.AddClause(cl...)

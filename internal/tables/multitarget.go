@@ -37,7 +37,7 @@ type TargetRun struct {
 // the same worker pool as a single-target one; each per-target compile
 // keeps the portfolio determinism contract, so the fan-out changes wall
 // time only. Every successful compile is certified with the independent
-// witness checker (CheckCertificate), whatever opts said: a comparison
+// checker (CheckCertificate), whatever opts said: a comparison
 // table mixing checked and unchecked rows would not be comparing like with
 // like.
 func CompileTargets(spec *pir.Spec, profiles []hw.Profile, opts core.Options) []TargetRun {
@@ -106,11 +106,11 @@ func compileTarget(spec *pir.Spec, profile hw.Profile, opts core.Options) Target
 // CheckCertificate is the full independent validation of one certificate
 // against the source spec and the device profile it claims to target: the
 // spec name and hash, an arch cross-check, the effective-spec
-// recomputation, the bisimulation witness and optional DRAT proof
-// (SelfCheck), and a device re-validation of the deployed program under
-// the profile's own semantics — for streaming targets that is the
-// window/depth rules (next-cycle alignment, per-cycle entry budget), which
-// the witness alone does not police. hawkcheck and the multi-target
+// recomputation, the walk and optional DRAT proof (SelfCheck), and a
+// device re-validation of the deployed program under the profile's own
+// semantics — for streaming targets that is the window/depth rules
+// (next-cycle alignment, per-cycle entry budget), which the walk alone
+// does not police. hawkcheck and the multi-target
 // harness share this path, so "certified" means the same thing in both.
 func CheckCertificate(spec *pir.Spec, profile hw.Profile, c *cert.Certificate) error {
 	if c.Spec != spec.Name {
@@ -128,7 +128,7 @@ func CheckCertificate(spec *pir.Spec, profile hw.Profile, c *cert.Certificate) e
 			c.Arch, profile.Name, profile.Arch)
 	}
 	// Recompute the effective spec from the input alone and demand the
-	// certificate's copy is identical — a witness for some other spec
+	// certificate's copy is identical — a certificate for some other spec
 	// (stale cache, tampered file) fails here before any traversal.
 	opts := core.DefaultOptions()
 	opts.MaxIterations = c.Unroll
@@ -151,7 +151,7 @@ func CheckCertificate(spec *pir.Spec, profile hw.Profile, c *cert.Certificate) e
 	if string(got) != string(want) {
 		return errors.New("certificate's effective spec differs from the one recomputed from the input")
 	}
-	// Device re-validation: the witness proves behavioral equivalence; the
+	// Device re-validation: the walk proves behavioral equivalence; the
 	// profile proves deployability. Both must hold for "certified".
 	prog, err := tcam.DecodeJSON(c.Program)
 	if err != nil {

@@ -77,8 +77,8 @@ type QueryDump = core.QueryDump
 
 // Certificate is the proof-carrying artifact a compile emits when
 // Options.EmitCertificate is set: the effective spec, the compiled
-// program, a bisimulation witness relating the two, and (with
-// Options.LogProofs) a DRAT proof of the hardest UNSAT solver query.
+// program, and (with Options.LogProofs) a DRAT proof of the hardest
+// UNSAT solver query.
 // It is validated by the independent checker in internal/cert and the
 // hawkcheck command — see Certificate.SelfCheck.
 type Certificate = cert.Certificate
