@@ -96,7 +96,8 @@ func checkAgainstSpec(spec *parserhawk.Spec, profile hw.Profile, c *cert.Certifi
 
 // runTable3 is the certify CI job: every Table 3 benchmark × all three
 // scaled targets is compiled with certificates and proof logging on, every
-// certificate must check, and every seeded mutation of it must fail.
+// certificate must check, and every seeded mutation of it must fail; each
+// program mutant must be refuted with a packet the interpreters replay.
 func runTable3(timeout time.Duration, seed int64, verbose bool) int {
 	profiles := []hw.Profile{tables.TofinoScaled(), tables.IPUScaled(), tables.FPGAScaled()}
 	checked, withProof, failures := 0, 0, 0
@@ -139,6 +140,8 @@ func runTable3(timeout time.Duration, seed int64, verbose bool) int {
 			for _, m := range muts {
 				if m.Cert.SelfCheck() == nil {
 					fail("%s: mutation %s (%s) passed the checker", name, m.Name, m.Edit)
+				} else if m.Packet != nil {
+					rejected = append(rejected, fmt.Sprintf("%s (%s, packet %s)", m.Name, m.Edit, m.Packet))
 				} else {
 					rejected = append(rejected, fmt.Sprintf("%s (%s)", m.Name, m.Edit))
 				}

@@ -366,12 +366,13 @@ func (h *hardestQuery) consider(q parserhawk.QueryDump) {
 
 // write saves the hardest query as <dir>/<spec>.hardest.cnf: a DIMACS
 // comment header identifying the query, then the instance with that
-// solve's assumptions as unit clauses.
+// solve's assumptions as unit clauses. Capturing none is no failure.
 func (h *hardestQuery) write(dir, spec string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.best == nil {
-		return fmt.Errorf("parserhawk: -dimacs: no SAT query was captured")
+	if h.best == nil { // a memo replay solves nothing
+		fmt.Fprintln(os.Stderr, "parserhawk: -dimacs: no SAT query was captured; nothing written")
+		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("parserhawk: -dimacs: %w", err)
@@ -394,11 +395,13 @@ func (h *hardestQuery) write(dir, spec string) error {
 // writeProof saves the hardest proof-bearing query's DRAT log to path and
 // the exact CNF it refutes to path+".cnf", a checkable pair for any DRAT
 // checker (hawkcheck validates the same pair embedded in a certificate).
+// Capturing none is no failure.
 func (h *hardestQuery) writeProof(path string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.proved == nil {
-		return fmt.Errorf("parserhawk: -proof: no UNSAT query with a proof was captured")
+	if h.proved == nil { // no rung was refuted
+		fmt.Fprintln(os.Stderr, "parserhawk: -proof: no UNSAT query with a proof was captured; nothing written")
+		return nil
 	}
 	q := h.proved
 	if err := os.WriteFile(path, q.Proof, 0o644); err != nil {

@@ -51,8 +51,9 @@ parser FuzzSemantics {
 	// the key across two TCAM states — and an early verifier accepted a
 	// program that dropped the second fragment's mask conjunct of the
 	// ternary rule, extracting leg.kind on packets the spec sends to the
-	// default. The don't-care-plane directed suite in core/verify.go now
-	// refutes such candidates; this fixture pins that.
+	// default. The counterexample search still passes such candidates;
+	// the witness walk refutes each with a packet that becomes a CEGIS
+	// example. This fixture pins that.
 	srcFuzzSplitKeyMask = `
 header h   { bit<16> k; }
 header leg { bit<8> kind; }

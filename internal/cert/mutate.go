@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"parserhawk/internal/bitstream"
 	"parserhawk/internal/pir"
 	"parserhawk/internal/tcam"
 )
@@ -24,13 +25,15 @@ type Mutation struct {
 	Name string // category, such as "program-retarget"
 	Edit string // the corruption, such as "row 0.1 entry 2 -> accept"
 	Cert *Certificate
+	// Packet is the walk's replaying input for a program mutant.
+	Packet bitstream.Bits
 }
 
 // FailingMutations derives one failing mutant per applicable category:
 // a dropped TCAM entry and a retargeted one, each a program the walk
-// refutes, and — when a proof bundle is present — a dropped DRAT
-// addition line and a flipped DRAT literal. The input certificate must
-// itself pass SelfCheck.
+// refutes with a packet the interpreters replay, and — when a proof
+// bundle is present — a dropped DRAT addition line and a flipped DRAT
+// literal. The input certificate must itself pass SelfCheck.
 func FailingMutations(c *Certificate, seed int64) ([]Mutation, error) {
 	if err := c.SelfCheck(); err != nil {
 		return nil, fmt.Errorf("cert: mutate: certificate fails before mutation: %w", err)
@@ -96,7 +99,7 @@ type entryEdit func(*tcam.Program) string
 
 // failingProgramMutation tries one category's edits from a seeded start,
 // each on a freshly decoded copy of the certificate's program, and keeps
-// the first mutant the walk refutes.
+// the first mutant the walk refutes with a packet.
 func failingProgramMutation(c *Certificate, eff *pir.Spec, rng *rand.Rand, name string, edits []entryEdit) (Mutation, error) {
 	if len(edits) == 0 {
 		return Mutation{}, fmt.Errorf("cert: mutate: %s: program has no entry to corrupt", name)
@@ -105,7 +108,8 @@ func failingProgramMutation(c *Certificate, eff *pir.Spec, rng *rand.Rand, name 
 	for off := range edits {
 		p, _ := tcam.DecodeJSON(c.Program)
 		what := edits[(start+off)%len(edits)](p)
-		if !errors.Is(Walk(eff, p), ErrMismatch) {
+		var me *MismatchError
+		if !errors.As(Walk(eff, p), &me) {
 			continue
 		}
 		m := *c
@@ -113,9 +117,9 @@ func failingProgramMutation(c *Certificate, eff *pir.Spec, rng *rand.Rand, name 
 		if m.Program, err = p.EncodeJSON(); err != nil {
 			return Mutation{}, err
 		}
-		return Mutation{Name: name, Edit: what, Cert: &m}, nil
+		return Mutation{Name: name, Edit: what, Cert: &m, Packet: me.Packet}, nil
 	}
-	return Mutation{}, fmt.Errorf("cert: mutate: %s: the walk refutes none of %d mutants", name, len(edits))
+	return Mutation{}, fmt.Errorf("cert: mutate: %s: the walk refutes none of %d mutants with a packet", name, len(edits))
 }
 
 // programEdits lists the single-entry corruptions of prog: dropping an

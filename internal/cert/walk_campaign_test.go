@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"parserhawk/internal/benchdata"
+	"parserhawk/internal/bitstream"
 	"parserhawk/internal/cert"
 	"parserhawk/internal/core"
 	"parserhawk/internal/hw"
@@ -99,12 +100,21 @@ func cloneProgram(p *tcam.Program) *tcam.Program {
 	return out
 }
 
+// replays reports whether the reference interpreters disagree on pkt at
+// a visit budget that only a run looping without consuming input can
+// exhaust within the packet.
+func replays(eff *pir.Spec, prog *tcam.Program, pkt bitstream.Bits) bool {
+	k := (len(pkt) + 1) * (len(eff.States) + len(prog.States) + 1)
+	return !eff.Run(pkt, k).Same(prog.Run(pkt, k))
+}
+
 // TestWalkMutationCampaign holds the walk to sampled packets: it compiles
 // every Table 3 benchmark on the three scaled profiles, makes seeded
 // single-entry mutants of each program, and fails when the walk proves a
 // mutant that sim.Check refutes. The converse, a walk refutation of a
 // mutant the sampled check passes, is expected: sampling misses corners
-// the walk explores symbolically.
+// the walk explores symbolically. Every refutation must carry a packet
+// the interpreters disagree on.
 func TestWalkMutationCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles every Table 3 cell")
@@ -123,6 +133,15 @@ func TestWalkMutationCampaign(t *testing.T) {
 				refuted := errors.Is(werr, cert.ErrMismatch)
 				if refuted {
 					walkRefuted++
+					var me *cert.MismatchError
+					switch {
+					case !errors.As(werr, &me):
+						t.Errorf("%s on %s: the walk refutes mutant %s without a packet: %v\n%s",
+							b.Name(), profile.Name, m.kind, werr, m.prog)
+					case !replays(eff, m.prog, me.Packet):
+						t.Errorf("%s on %s: mutant %s: the interpreters agree on the walk's packet %s",
+							b.Name(), profile.Name, m.kind, me.Packet)
+					}
 				}
 				if rep.OK() {
 					if refuted {

@@ -3,9 +3,11 @@ package cert
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 
+	"parserhawk/internal/bitstream"
 	"parserhawk/internal/pir"
 	"parserhawk/internal/tcam"
 )
@@ -43,6 +45,11 @@ import (
 // follows some branch, and a spurious disagreement can only refute a
 // correct program. The branches do not model the device's visit bound,
 // which ends a loop that consumes nothing (stutterCycle).
+//
+// A disagreement carries a packet when it replays: every atom records its
+// absolute input position, and every configuration keeps a trail of all
+// the constraints its branch assumed, those gc dropped included; a model
+// of the trail, written at the atoms' positions, is a packet.
 
 // ErrMismatch marks a walk failure where the two machines disagree on a
 // branch the walk found feasible: different extractions, different
@@ -50,7 +57,19 @@ import (
 // while the spec side has not rejected. Every other failure (the
 // configuration limit, a field-table mismatch, a zero-progress spec
 // cycle) means the walk could not decide, not that the program is wrong.
+// A disagreement that replays is a *MismatchError; the plain ErrMismatch
+// means no packet built from the branch replays it.
 var ErrMismatch = errors.New("machines disagree")
+
+// MismatchError is an ErrMismatch with its evidence: a packet on which
+// pir.Spec.Run and tcam.Program.Run disagree under pir.Result.Same, at a
+// visit budget no run that makes progress within the packet exhausts.
+type MismatchError struct {
+	Packet bitstream.Bits
+	error
+}
+
+func (e *MismatchError) Unwrap() error { return e.error }
 
 const (
 	specAccept = -1
@@ -74,11 +93,6 @@ type store struct {
 	ahead    map[int]int32
 	lits     map[int32]byte
 	clauses  [][]clit
-	// total is the number of bits consumed so far, clamped to maxBack
-	// (all that matters is whether a negative-skip read reaches before
-	// the start of the packet, where the stream zero-pads); -1 once a
-	// varbit extraction made the cursor symbolic.
-	total int
 }
 
 func newStore() *store {
@@ -96,7 +110,6 @@ func (st *store) clone() *store {
 		ahead:    make(map[int]int32, len(st.ahead)),
 		lits:     make(map[int32]byte, len(st.lits)),
 		clauses:  append([][]clit(nil), st.clauses...),
-		total:    st.total,
 	}
 	for k, v := range st.dict {
 		out.dict[k] = v
@@ -112,44 +125,114 @@ func (st *store) clone() *store {
 
 // config is one joint configuration: spec side (state index or a
 // terminal sentinel, plus how many of its extracts already ran), impl
-// side (a TCAM row), and the shared store.
+// side (a TCAM row), the shared cursor and store, and the trail.
 type config struct {
 	spec    int // state index, specAccept, or specReject
 	partial int
 	table   int
 	state   int
+	cursor  int // absolute input position of both machines; -1 after a varbit extraction
 	st      *store
+	trail   *trail
 	key     string // canonical key, set by enroll
 }
 
 func (c *config) clone() *config {
-	return &config{spec: c.spec, partial: c.partial, table: c.table, state: c.state, st: c.st.clone()}
+	return &config{spec: c.spec, partial: c.partial, table: c.table, state: c.state,
+		cursor: c.cursor, st: c.st.clone(), trail: c.trail}
+}
+
+// trail is one step of the match literals and not-matched clauses a
+// branch assumed, linked to the steps before. gc prunes the store that
+// keys and feasibility use; the trail keeps every constraint.
+type trail struct {
+	parent *trail
+	lits   []clit
+	negs   [][]clit
 }
 
 type engine struct {
 	eff     *pir.Spec
 	prog    *tcam.Program
 	maxBack int
-	next    int32 // next fresh atom id; 0 is the constant-zero atom
-	seen    map[string]bool
-	queue   []*config
+	// pos is each atom's absolute input position, indexed by atom id; -1
+	// for the constant-zero atom 0 and atoms minted at a symbolic cursor.
+	pos   []int
+	seen  map[string]bool
+	queue []*config
 	// stutters are the feasible transitions that extracted nothing while
 	// the spec side had not rejected, as (from, to) configurations.
 	stutters [][2]*config
 }
 
-func (e *engine) fresh() int32 {
-	e.next++
-	return e.next
+// fresh mints an atom for the input bit at offset off from c's cursor.
+func (e *engine) fresh(c *config, off int) int32 {
+	pos := -1
+	if c.cursor >= 0 {
+		pos = c.cursor + off
+	}
+	e.pos = append(e.pos, pos)
+	return int32(len(e.pos) - 1)
 }
 
 func (e *engine) failf(format string, args ...any) error {
 	return fmt.Errorf("cert: walk: "+format, args...)
 }
 
-// mismatchf is failf for a disagreement between the machines.
-func (e *engine) mismatchf(format string, args ...any) error {
-	return fmt.Errorf("cert: walk: %w: "+format, append([]any{ErrMismatch}, args...)...)
+// mismatchf is failf for a disagreement between the machines on c's
+// branch: a *MismatchError when a packet built from c's trail replays
+// it, the plain ErrMismatch otherwise.
+func (e *engine) mismatchf(c *config, format string, args ...any) error {
+	err := fmt.Errorf("cert: walk: %w: "+format, append([]any{ErrMismatch}, args...)...)
+	if pkt := e.packet(c); pkt != nil {
+		return &MismatchError{Packet: pkt, error: err}
+	}
+	return err
+}
+
+// packet builds an input on which the reference interpreters disagree
+// from a model of c's trail, or returns nil. The model fixes the bits at
+// its atoms' known positions; the free bits take zeros, then ones, then
+// six seeded random fills, up to the spec's one-pass input length or the
+// highest constrained position.
+func (e *engine) packet(c *config) bitstream.Bits {
+	var clauses [][]clit
+	for t := c.trail; t != nil; t = t.parent {
+		for _, l := range t.lits {
+			clauses = append(clauses, []clit{l})
+		}
+		clauses = append(clauses, t.negs...)
+	}
+	model, ok := dpll(map[int32]byte{}, clauses, 0)
+	if !ok {
+		return nil
+	}
+	n := e.eff.MaxConsumedBits(len(e.eff.States)+2) + e.eff.LookaheadUse()
+	for a := range model {
+		n = max(n, e.pos[a]+1)
+	}
+	// Between two extractions a run visits each state at most once unless
+	// it loops without consuming, which the device's bound is for.
+	budget := (n + 1) * (len(e.eff.States) + len(e.prog.States) + 1)
+	rng := rand.New(rand.NewSource(1))
+	pkt := make(bitstream.Bits, n)
+	for fill := 0; fill < 8; fill++ {
+		for i := range pkt {
+			pkt[i] = byte(fill) // zeros, then ones
+			if fill > 1 {
+				pkt[i] = byte(rng.Intn(2))
+			}
+		}
+		for a, v := range model {
+			if p := e.pos[a]; p >= 0 {
+				pkt[p] = v
+			}
+		}
+		if !e.eff.Run(pkt, budget).Same(e.prog.Run(pkt, budget)) {
+			return pkt
+		}
+	}
+	return nil
 }
 
 func specName(eff *pir.Spec, spec int) string {
@@ -188,6 +271,7 @@ func Walk(eff *pir.Spec, prog *tcam.Program) error {
 		eff:     eff,
 		prog:    prog,
 		maxBack: computeMaxBack(prog),
+		pos:     []int{-1},
 		seen:    map[string]bool{},
 	}
 	c0 := &config{spec: 0, partial: 0, table: 0, state: 0, st: newStore()}
@@ -340,12 +424,12 @@ func (e *engine) consume(c *config, extracts []pir.Extract, next tcam.Target) er
 	}
 	x := extracts[0]
 	if c.spec < 0 {
-		return e.mismatchf("implementation extracts %q after the spec reached %s", x.Field, specName(e.eff, c.spec))
+		return e.mismatchf(c, "implementation extracts %q after the spec reached %s", x.Field, specName(e.eff, c.spec))
 	}
 	ss := &e.eff.States[c.spec]
 	sx := ss.Extracts[c.partial]
 	if sx != x {
-		return e.mismatchf("extraction mismatch in spec state %q: spec extracts %s, implementation extracts %s",
+		return e.mismatchf(c, "extraction mismatch in spec state %q: spec extracts %s, implementation extracts %s",
 			ss.Name, describeExtract(sx), describeExtract(x))
 	}
 	e.applyExtract(c, x)
@@ -390,10 +474,10 @@ func (e *engine) requireSpecVerdict(c *config, want int) error {
 		return nil
 	}
 	if c.spec < 0 {
-		return e.mismatchf("verdict mismatch: implementation reached %s but spec reached %s",
+		return e.mismatchf(c, "verdict mismatch: implementation reached %s but spec reached %s",
 			specName(e.eff, want), specName(e.eff, c.spec))
 	}
-	return e.mismatchf("implementation reached %s but spec state %q still expects extraction",
+	return e.mismatchf(c, "implementation reached %s but spec state %q still expects extraction",
 		specName(e.eff, want), e.eff.States[c.spec].Name)
 }
 
@@ -404,22 +488,28 @@ func (e *engine) requireSpecVerdict(c *config, want int) error {
 // rejected, may still accept. The transitions come from over-approximated
 // branches, so this may refute a correct program, say one whose spec side
 // rejects on every continuation anyway. The depth-first search starts
-// from canonical keys in sorted order, so the message is deterministic.
+// from canonical keys in sorted order, so the message is deterministic;
+// the packet comes from the branch that closes the cycle.
 func (e *engine) stutterCycle() error {
-	succ := map[string][]string{}
+	succ := map[string][]*config{}
 	var from []*config
 	for _, s := range e.stutters {
 		from = append(from, s[0])
-		succ[s[0].key] = append(succ[s[0].key], s[1].key)
+		succ[s[0].key] = append(succ[s[0].key], s[1])
 	}
 	sort.Slice(from, func(i, j int) bool { return from[i].key < from[j].key })
 	const onPath, done = 1, 2
 	mark := map[string]int{}
+	var closer *config // the branch whose transition closes the cycle found
 	var cyclic func(k string) bool
 	cyclic = func(k string) bool {
 		mark[k] = onPath
 		for _, n := range succ[k] {
-			if mark[n] == onPath || mark[n] == 0 && cyclic(n) {
+			if mark[n.key] == onPath {
+				closer = n
+				return true
+			}
+			if mark[n.key] == 0 && cyclic(n.key) {
 				return true
 			}
 		}
@@ -428,7 +518,7 @@ func (e *engine) stutterCycle() error {
 	}
 	for _, c := range from {
 		if mark[c.key] == 0 && cyclic(c.key) {
-			return e.mismatchf("implementation loops without consuming input from row %d.%d while the spec side is at %s",
+			return e.mismatchf(closer, "implementation loops without consuming input from row %d.%d while the spec side is at %s",
 				c.table, c.state, specName(e.eff, c.spec))
 		}
 	}
@@ -515,7 +605,7 @@ func (e *engine) resolveKey(c *config, key []pir.KeyPart) []int32 {
 				if off >= 0 {
 					a, ok := st.ahead[off]
 					if !ok {
-						a = e.fresh()
+						a = e.fresh(c, off)
 						st.ahead[off] = a
 					}
 					atoms = append(atoms, a)
@@ -525,10 +615,10 @@ func (e *engine) resolveKey(c *config, key []pir.KeyPart) []int32 {
 				switch {
 				case d <= len(st.consumed):
 					atoms = append(atoms, st.consumed[len(st.consumed)-d])
-				case st.total >= 0 && d > st.total:
+				case c.cursor >= 0 && d > c.cursor:
 					atoms = append(atoms, 0) // before the packet: zero-pad
-				default:
-					atoms = append(atoms, e.fresh())
+				default: // only at a symbolic cursor: the window holds maxBack bits
+					atoms = append(atoms, e.fresh(c, off))
 				}
 			}
 			continue
@@ -559,10 +649,10 @@ func (e *engine) applyExtract(c *config, x pir.Extract) {
 	if x.LenField != "" {
 		st.consumed = nil
 		st.ahead = map[int]int32{}
-		st.total = -1
+		c.cursor = -1
 		bits := make([]int32, w)
 		for i := range bits {
-			bits[i] = e.fresh()
+			bits[i] = e.fresh(c, i)
 		}
 		st.dict[x.Field] = bits
 		return
@@ -572,7 +662,7 @@ func (e *engine) applyExtract(c *config, x pir.Extract) {
 		if a, ok := st.ahead[i]; ok {
 			bits[i] = a
 		} else {
-			bits[i] = e.fresh()
+			bits[i] = e.fresh(c, i)
 		}
 	}
 	na := make(map[int]int32, len(st.ahead))
@@ -583,11 +673,8 @@ func (e *engine) applyExtract(c *config, x pir.Extract) {
 	}
 	st.ahead = na
 	st.dict[x.Field] = bits
-	if st.total >= 0 {
-		st.total += w
-		if st.total > e.maxBack {
-			st.total = e.maxBack
-		}
+	if c.cursor >= 0 {
+		c.cursor += w
 	}
 	if e.maxBack == 0 {
 		st.consumed = nil
@@ -653,8 +740,11 @@ func negClause(keyAtoms []int32, value, mask uint64) ([]clit, int) {
 }
 
 // assume adds match literals and not-matched clauses to the store and
-// reports whether the store remains satisfiable.
+// the trail, and reports whether the store remains satisfiable.
 func (c *config) assume(lits []clit, negs [][]clit) bool {
+	if len(lits) > 0 || len(negs) > 0 {
+		c.trail = &trail{parent: c.trail, lits: lits, negs: negs}
+	}
 	st := c.st
 	for _, l := range lits {
 		if v, ok := st.lits[l.atom]; ok {
@@ -666,90 +756,76 @@ func (c *config) assume(lits []clit, negs [][]clit) bool {
 		st.lits[l.atom] = l.bit
 	}
 	st.clauses = append(st.clauses, negs...)
-	return satisfiable(st.lits, st.clauses)
-}
-
-// satisfiable runs a small DPLL (unit propagation plus branching) over
-// the clauses under the fixed literals. Clause literals never mention
-// the constant-zero atom, and clause counts per config stay small after
-// gc, so this is cheap in practice.
-func satisfiable(lits map[int32]byte, clauses [][]clit) bool {
-	if len(clauses) == 0 {
+	if len(st.clauses) == 0 {
 		return true
 	}
-	asn := make(map[int32]byte, len(lits))
-	for k, v := range lits {
+	asn := make(map[int32]byte, len(st.lits))
+	for k, v := range st.lits {
 		asn[k] = v
 	}
-	return dpll(asn, clauses, 0)
+	_, ok := dpll(asn, st.clauses, 0)
+	return ok
 }
 
-func dpll(asn map[int32]byte, clauses [][]clit, depth int) bool {
+// dpll runs a small DPLL (unit propagation plus branching) over the
+// clauses, extending the partial assignment asn, and returns a model.
+// Clause literals never mention the constant-zero atom, and clause
+// counts per config stay small after gc, so this is cheap in practice.
+func dpll(asn map[int32]byte, clauses [][]clit, depth int) (map[int32]byte, bool) {
 	if depth > 64 {
 		// Give up and over-approximate: treating an undecided store as
-		// satisfiable can only add branches, never hide one.
-		return true
+		// satisfiable can only add branches, never hide one. The model is
+		// then partial, and a packet built from it may not replay.
+		return asn, true
 	}
-	for changed := true; changed; {
-		changed = false
+	for {
+		changed := false
+		var pick *clit // first free literal of the first open clause
 		for _, cl := range clauses {
-			free := -1
-			nfree := 0
-			sat := false
+			var free *clit
+			nfree, sat := 0, false
 			for i, l := range cl {
-				if v, ok := asn[l.atom]; ok {
-					if v == l.bit {
-						sat = true
-						break
-					}
-					continue
-				}
-				nfree++
-				free = i
-			}
-			if sat {
-				continue
-			}
-			if nfree == 0 {
-				return false
-			}
-			if nfree == 1 {
-				asn[cl[free].atom] = cl[free].bit
-				changed = true
-			}
-		}
-	}
-	for _, cl := range clauses {
-		sat := false
-		pick := -1
-		for i, l := range cl {
-			if v, ok := asn[l.atom]; ok {
-				if v == l.bit {
+				v, ok := asn[l.atom]
+				if ok && v == l.bit {
 					sat = true
 					break
 				}
-				continue
+				if !ok && free == nil {
+					free = &cl[i]
+				}
+				if !ok {
+					nfree++
+				}
 			}
-			if pick < 0 {
-				pick = i
+			switch {
+			case sat:
+			case nfree == 0:
+				return nil, false
+			case nfree == 1:
+				asn[free.atom] = free.bit
+				changed = true
+			case pick == nil:
+				pick = free
 			}
 		}
-		if sat || pick < 0 {
+		if changed {
 			continue
 		}
-		l := cl[pick]
+		if pick == nil {
+			return asn, true
+		}
+		l := *pick
 		pos := make(map[int32]byte, len(asn)+1)
 		for k, v := range asn {
 			pos[k] = v
 		}
 		pos[l.atom] = l.bit
-		if dpll(pos, clauses, depth+1) {
-			return true
+		if m, ok := dpll(pos, clauses, depth+1); ok {
+			return m, true
 		}
 		asn[l.atom] = 1 - l.bit
 		return dpll(asn, clauses, depth+1)
 	}
-	return true
 }
 
 // gc shrinks a store to what future steps can observe: atoms reachable
@@ -863,7 +939,9 @@ func (e *engine) canonicalKey(c *config) string {
 		return next
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d.%d@%d.%d;t%d", c.spec, c.partial, c.table, c.state, st.total)
+	// All the absolute cursor adds is whether a negative-skip read reaches
+	// before the start of the packet, where the stream zero-pads.
+	fmt.Fprintf(&b, "%d.%d@%d.%d;t%d", c.spec, c.partial, c.table, c.state, min(c.cursor, e.maxBack))
 	fields := make([]string, 0, len(st.dict))
 	for f := range st.dict {
 		fields = append(fields, f)

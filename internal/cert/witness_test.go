@@ -175,6 +175,10 @@ func TestWalkRefutesNonConsumingCycle(t *testing.T) {
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("Walk: %v, want a message containing %q", err, want)
 	}
+	var me *MismatchError
+	if !errors.As(err, &me) || prog.Run(me.Packet, 64).Accepted || !spec.Run(me.Packet, 64).Accepted {
+		t.Fatalf("Walk: %#v, want a packet the device rejects and the spec accepts", err)
+	}
 
 	// A non-consuming hop that leaves the cycle is no disagreement.
 	prog.States[1].Entries[0].Extracts = []pir.Extract{{Field: "a"}}
@@ -265,5 +269,101 @@ func TestCheckDRATRepeatedLiteral(t *testing.T) {
 	err := CheckDRAT([]byte("p cnf 2 1\n1 2 0\n"), []byte("d 2 1 1 0\n1 2 0\n0\n"))
 	if err == nil || !strings.Contains(err.Error(), "not RUP") {
 		t.Errorf("re-adding a deleted clause: %v, want a non-RUP rejection", err)
+	}
+}
+
+// TestWalkWithoutPacketIsPlainMismatch: a refutation the interpreters do
+// not replay carries no packet.
+//
+//   - spurious: the program is right on every input, but once field f is
+//     extracted again, gc drops the clauses that made its second bit 0,
+//     so the walk follows a branch with f = 1 that no packet takes. Its
+//     trail has no model.
+//   - varbit: the program really is wrong, on the 16 bits after a
+//     varbit, whose positions depend on the packet. Neither zeros, ones
+//     nor the six random fills put 0xA5C3 there.
+func TestWalkWithoutPacketIsPlainMismatch(t *testing.T) {
+	extract := func(fs ...string) []pir.Extract {
+		var out []pir.Extract
+		for _, f := range fs {
+			out = append(out, pir.Extract{Field: f})
+		}
+		return out
+	}
+	spurious := pir.MustNew("spurious",
+		[]pir.Field{{Name: "f", Width: 1}, {Name: "g", Width: 1}},
+		[]pir.State{
+			{
+				Name: "s0", Extracts: extract("f"),
+				Key: []pir.KeyPart{pir.WholeField("f", 1), pir.LookaheadBits(0, 1)},
+				Rules: []pir.Rule{
+					pir.ExactRule(0b11, 2, pir.RejectTarget),
+					pir.ExactRule(0b01, 2, pir.RejectTarget),
+				},
+				Default: pir.To(1),
+			},
+			{Name: "s1", Extracts: extract("f"), Default: pir.To(2)},
+			{
+				Name: "s2", Extracts: extract("g"),
+				Key:     []pir.KeyPart{pir.WholeField("f", 1)},
+				Rules:   []pir.Rule{pir.ExactRule(1, 1, pir.AcceptTarget)},
+				Default: pir.RejectTarget,
+			},
+		})
+	varbit := pir.MustNew("varbit",
+		[]pir.Field{{Name: "len", Width: 4}, {Name: "opt", Width: 32, Var: true}, {Name: "x", Width: 1}},
+		[]pir.State{
+			{
+				Name:     "s0",
+				Extracts: []pir.Extract{{Field: "len"}, {Field: "opt", LenField: "len", LenScale: 8}},
+				Key:      []pir.KeyPart{pir.LookaheadBits(0, 16)},
+				Rules:    []pir.Rule{pir.ExactRule(0xA5C3, 16, pir.To(1))},
+				Default:  pir.AcceptTarget,
+			},
+			{Name: "s1", Extracts: extract("x"), Default: pir.AcceptTarget},
+		})
+	for _, tc := range []struct {
+		name string
+		prog *tcam.Program
+		// wrongOn is an input the program mishandles; nil when it agrees
+		// with the spec on every input.
+		wrongOn bitstream.Bits
+	}{
+		{"spurious", &tcam.Program{Spec: spurious, States: []tcam.State{
+			{Table: 0, ID: 0, Key: []pir.KeyPart{pir.LookaheadBits(0, 2)}, Entries: []tcam.Entry{
+				{Value: 0b11, Mask: 0b11, Extracts: extract("f"), Next: tcam.RejectTarget},
+				{Value: 0b01, Mask: 0b11, Extracts: extract("f"), Next: tcam.RejectTarget},
+				{Extracts: extract("f"), Next: tcam.To(0, 1)},
+			}},
+			{Table: 0, ID: 1, Entries: []tcam.Entry{{Extracts: extract("f"), Next: tcam.To(0, 2)}}},
+			{Table: 0, ID: 2, Key: []pir.KeyPart{pir.WholeField("f", 1)}, Entries: []tcam.Entry{
+				{Value: 1, Mask: 1, Extracts: extract("g"), Next: tcam.RejectTarget},
+				{Extracts: extract("g"), Next: tcam.RejectTarget},
+			}},
+		}}, nil},
+		{"varbit", &tcam.Program{Spec: varbit, States: []tcam.State{
+			{Table: 0, ID: 0, Entries: []tcam.Entry{{Extracts: varbit.States[0].Extracts, Next: tcam.To(0, 1)}}},
+			{Table: 0, ID: 1, Key: []pir.KeyPart{pir.LookaheadBits(0, 16)}, Entries: []tcam.Entry{
+				{Value: 0xA5C3, Mask: 0xFFFF, Next: tcam.AcceptTarget},
+				{Next: tcam.AcceptTarget},
+			}},
+		}}, bitstream.FromUint(0, 4).Concat(bitstream.FromUint(0xA5C3, 16))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.prog.Spec
+			if tc.wrongOn != nil && spec.Run(tc.wrongOn, 0).Same(tc.prog.Run(tc.wrongOn, 0)) {
+				t.Fatalf("fixture: the program is right on %s", tc.wrongOn)
+			}
+			for x := uint64(0); tc.wrongOn == nil && x < 16; x++ {
+				if in := bitstream.FromUint(x, 4); !spec.Run(in, 0).Same(tc.prog.Run(in, 0)) {
+					t.Fatalf("fixture: the program is wrong on %s", in)
+				}
+			}
+			err := Walk(spec, tc.prog)
+			var me *MismatchError
+			if !errors.Is(err, ErrMismatch) || errors.As(err, &me) {
+				t.Fatalf("Walk: %v (%T), want the plain ErrMismatch", err, err)
+			}
+		})
 	}
 }

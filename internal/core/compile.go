@@ -202,7 +202,7 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 	for _, o := range outs {
 		stats.SkeletonsTried++
 		stats.Solver.Add(o.stats.Solver)
-		stats.Blocked += o.stats.Blocked
+		stats.Refuted += o.stats.Refuted
 		if o.err != nil {
 			if firstErr == nil && !errors.Is(o.err, errCanceled) {
 				firstErr = o.err
@@ -231,7 +231,7 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 	best.Stats.SkeletonsTried = stats.SkeletonsTried
 	best.Stats.SearchSpaceBits = stats.SearchSpaceBits
 	best.Stats.Solver = stats.Solver
-	best.Stats.Blocked = stats.Blocked
+	best.Stats.Refuted = stats.Refuted
 	best.Stats.Portfolio = stats.Portfolio
 	best.Stats.Lint = lintStats
 	if opts.EmitCertificate {
@@ -459,7 +459,7 @@ func (e *exampleSet) size() int { return len(e.ex) }
 // effort is therefore that one solver's final snapshot (plus the total of
 // an Opt2 fallback ladder, when one ran). The ladder's Stats are returned
 // even when the skeleton fails, so Compile can account for all the work
-// in their Solver and Blocked.
+// in their Solver and Refuted.
 func (eng *skeletonEngine) runLadder(ctx context.Context) (*Result, Stats, error) {
 	var st Stats
 	low, capN := ladderBounds(eng.effSynth, eng.synthSk, eng.profile, eng.opts)
@@ -595,26 +595,30 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 		t1 := time.Now()
 		cex, found, interrupted := env.ver.counterexampleStop(cand, stop)
 		var res *Result
-		var refuted bool
 		var err error
 		if !found && !interrupted {
-			res, refuted, err = eng.prove(sy)
+			var me *cert.MismatchError
+			if res, err = eng.prove(sy); errors.Is(err, cert.ErrMismatch) {
+				iter.Status = "refuted"
+				st.Refuted++
+				// The packet is a counterexample like the search's. Without
+				// one the search confirms, the model could come back.
+				if errors.As(err, &me) {
+					cex, found = env.ver.confirm(cand, me.Packet)
+				}
+				if !found {
+					err = errBudgetTooSmall
+				}
+			}
 		}
 		iter.VerifyTime = time.Since(t1)
 		st.VerifyTime += iter.VerifyTime
-		if refuted {
-			iter.Status = "blocked"
-			st.Blocked++
-		}
 		st.Iterations = append(st.Iterations, iter)
 		switch {
 		case interrupted:
 			return nil, errCanceled
 		case found:
 			env.examples.add(cex)
-			continue
-		case refuted:
-			sy.block()
 			continue
 		case errors.Is(err, errScalingMisled):
 			o2 := eng.opts
@@ -623,7 +627,7 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			res, sub, err := fallback.runLadder(ctx)
 			if err != nil {
 				st.Solver.Add(sub.Solver)
-				st.Blocked += sub.Blocked
+				st.Refuted += sub.Refuted
 				return nil, err
 			}
 			// The fallback's program wins: adopt its figures (its solver
@@ -633,7 +637,7 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 			fb.VerifyTime += st.VerifyTime
 			fb.CEGISIterations += st.CEGISIterations
 			fb.BudgetsTried += st.BudgetsTried
-			fb.Blocked += st.Blocked
+			fb.Refuted += st.Refuted
 			*st = fb
 			return res, nil
 		case err != nil:
@@ -652,39 +656,40 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 // program is kept only if the walk proves it. Folding changes iteration
 // counts, which at the unrolling bound K can shift an outcome, so
 // otherwise the unoptimized program, laid out for the device, is walked
-// next. An Opt2 ladder's search examined only the scaled program, so a
-// full-width program the walk does not prove reports errScalingMisled and
-// an unscaled ladder takes over. On an unscaled ladder a refutation
-// (cert.ErrMismatch) means the candidate is wrong; a walk that cannot
-// decide leaves the search's verdict on this program standing.
-func (eng *skeletonEngine) prove(sy *synthesizer) (res *Result, refuted bool, err error) {
+// next: a refutation's packet then refutes the model's own program. An
+// Opt2 ladder's search examined only the scaled program, so a full-width
+// program the walk does not prove reports errScalingMisled and an
+// unscaled ladder takes over. On an unscaled ladder a refutation
+// (cert.ErrMismatch) is returned; a walk that cannot decide leaves the
+// search's verdict on this program standing.
+func (eng *skeletonEngine) prove(sy *synthesizer) (*Result, error) {
 	unoptimized := sy.extract(eng.spec, eng.origSk)
 	final, err := postOptimize(unoptimized, eng.profile)
 	if err != nil {
 		// Post-optimization found a hard resource violation (e.g. too
 		// many stages); a larger budget will not help.
-		return nil, false, err
+		return nil, err
 	}
 	werr := cert.Walk(eng.effOrig, final)
 	if werr != nil {
 		final = unoptimized
 		if eng.profile.Arch != hw.SingleTable {
 			if final, err = layoutPipeline(final, eng.profile); err != nil {
-				return nil, false, errBudgetTooSmall
+				return nil, errBudgetTooSmall
 			}
 		}
 		werr = cert.Walk(eng.effOrig, final)
 	}
 	switch {
 	case werr != nil && eng.effSynth != eng.effOrig:
-		return nil, false, errScalingMisled
+		return nil, errScalingMisled
 	case errors.Is(werr, cert.ErrMismatch):
-		return nil, true, nil
+		return nil, werr
 	}
 	if err := eng.profile.Validate(final); err != nil {
-		return nil, false, errBudgetTooSmall // exceeds device limits at this shape; try next budget
+		return nil, errBudgetTooSmall // exceeds device limits at this shape; try next budget
 	}
-	return &Result{Program: final, Resources: final.Resources(), walkErr: werr}, false, nil
+	return &Result{Program: final, Resources: final.Resources(), walkErr: werr}, nil
 }
 
 // skeletonLowerBound computes the minimum total entry count any correct

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -347,38 +348,103 @@ func TestNaiveWireDashIsProved(t *testing.T) {
 	}
 }
 
-// TestBlockForbidsProgram blocks the first model of a small naive table
-// with no examples encoded, where every program is a model. The clause
-// must forbid that program in that slot placement and nothing else: with
-// all the literals the placement depends on assumed, the solver finds no
-// model, and flipping any one of them (an enable bit, a mask bit, a value
-// bit under a set mask bit, the selected target) finds one again.
-func TestBlockForbidsProgram(t *testing.T) {
-	spec, profile, opts := fig3Spec(t), hw.Tofino(), NaiveOptions()
+// TestRefutationPacketExcludesModel pins the progress property that
+// lets a walk refutation end as one CEGIS example. On Table 4's ME-2@8
+// (a 16-bit key on an 8-bit device) the search passes key-split
+// candidates that are wrong only on chunk cross-combinations it never
+// builds, so the walk refutes them. The first refutation's packet must be
+// one the model's unoptimized program mishandles, and once it is encoded
+// as an example no model with that program's literals may remain.
+func TestRefutationPacketExcludesModel(t *testing.T) {
+	spec := pir.MustNew("ME-2",
+		[]pir.Field{{Name: "k", Width: 16}, {Name: "d", Width: 2}, {Name: "e", Width: 2}},
+		[]pir.State{
+			{
+				Name:     "S",
+				Extracts: []pir.Extract{{Field: "k"}},
+				Key:      []pir.KeyPart{pir.WholeField("k", 16)},
+				Rules: []pir.Rule{
+					pir.ExactRule(0xF0F0, 16, pir.To(1)),
+					pir.ExactRule(0xF0F1, 16, pir.To(1)),
+					pir.ExactRule(0x0F0F, 16, pir.To(2)),
+				},
+				Default: pir.AcceptTarget,
+			},
+			{Name: "D", Extracts: []pir.Extract{{Field: "d"}}, Default: pir.AcceptTarget},
+			{Name: "E", Extracts: []pir.Extract{{Field: "e"}}, Default: pir.AcceptTarget},
+		})
+	profile := hw.Parameterized(8, 2, 24)
+	opts := DefaultOptions()
+	opts.Opt2BitWidthMin = false // refutations on an Opt2 ladder fall back instead
 	sks, eff, err := buildSkeletons(spec, profile, opts, opts.MaxIterations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sy := newSynthesizer(eff, &sks[0], profile, opts)
-	s := sy.s
-	// Every entry enabled with a full mask, so that the program depends on
-	// a literal of each kind.
-	var full []bv.Lit
-	for _, evs := range sy.entries {
-		for _, ev := range evs {
-			full = append(append(full, ev.enabled), ev.mask.Bits...)
+	for i := range sks {
+		sk := &sks[i]
+		eng := newSkeletonEngine(spec, eff, eff, sk, sk, profile, opts)
+		env, err := eng.newEnv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sy := newSynthesizer(eff, sk, profile, opts)
+		low, capN := ladderBounds(eff, sk, profile, opts)
+		for budget := low; budget <= capN; budget++ {
+			for {
+				for _, ex := range env.examples.pending(sy.fed) {
+					if err := sy.addTestCase(ex.in, ex.out); err != nil {
+						t.Fatal(err)
+					}
+					sy.fed++
+				}
+				if sy.solveAt(budget, nil) != sat.Sat {
+					break
+				}
+				cand := sy.extract(eff, sk)
+				if cex, found := env.ver.counterexample(cand); found {
+					env.examples.add(cex)
+					continue
+				}
+				var me *cert.MismatchError
+				if _, err := eng.prove(sy); !errors.As(err, &me) {
+					break // proved or undecided: try the next skeleton
+				}
+				unoptimized := sy.extract(spec, sk)
+				k := env.ver.maxIterBudget()
+				if eff.Run(me.Packet, k).Same(unoptimized.Run(me.Packet, k)) {
+					t.Fatalf("%s: the unoptimized program handles the packet %s\n%s", sk.Name, me.Packet, unoptimized)
+				}
+				lits := programLits(sy)
+				in, ok := env.ver.confirm(cand, me.Packet)
+				if !ok {
+					t.Fatalf("%s: the search's check passes the candidate on the packet %s", sk.Name, me.Packet)
+				}
+				if err := sy.addTestCase(in, eff.Run(in, k)); err != nil {
+					t.Fatal(err)
+				}
+				if st := sy.s.Solve(lits...); st != sat.Unsat {
+					t.Fatalf("%s: refuted program after its packet: %s, want unsat", sk.Name, st)
+				}
+				return
+			}
 		}
 	}
-	if st := s.Solve(full...); st != sat.Sat {
-		t.Fatalf("empty table: %s", st)
-	}
-	var prog []bv.Lit // each literal the program depends on, as the model sets it
+	t.Fatal("the walk refuted no candidate")
+}
+
+// programLits returns each literal the model's program depends on, as
+// the model sets it: every enable bit, and of each enabled entry its mask
+// bits, its value bits under set mask bits, its target and its extraction
+// choice.
+func programLits(sy *synthesizer) []bv.Lit {
+	s := sy.s
+	var out []bv.Lit
 	holds := func(l bv.Lit) {
 		if !s.Value(l) {
 			l = l.Not()
 		}
 		if l != s.True() {
-			prog = append(prog, l)
+			out = append(out, l)
 		}
 	}
 	for _, evs := range sy.entries {
@@ -401,17 +467,7 @@ func TestBlockForbidsProgram(t *testing.T) {
 			holds(ev.doExtract)
 		}
 	}
-	sy.block()
-	if st := s.Solve(prog...); st != sat.Unsat {
-		t.Fatalf("blocked program: %s, want unsat", st)
-	}
-	for i, l := range prog {
-		other := append([]bv.Lit(nil), prog...)
-		other[i] = l.Not()
-		if st := s.Solve(other...); st != sat.Sat {
-			t.Errorf("program with literal %d of %d flipped: %s, want sat", i, len(prog), st)
-		}
-	}
+	return out
 }
 
 // TestForbiddenTargetsFoldToFalse checks that newSynthesizer encodes every

@@ -195,47 +195,6 @@ func (sy *synthesizer) solveAt(budget int, cancel func() bool) sat.Status {
 	return sy.lastStatus
 }
 
-// block adds one clause that forbids the last model's program in its
-// slot placement: some enable bit flips, or some enabled entry changes
-// its mask, a value bit under a set mask bit, its target or its
-// extraction choice. Bits the placement does not depend on (a disabled
-// entry's contents, value bits under clear mask bits) stay free, so every
-// model of that placement is excluded at once. The same entries in other
-// slots are not: without Opt4's prefix symmetry breaking a wrong program
-// can come back once per placement. The clause is permanent: a program
-// that is wrong is wrong at every budget.
-func (sy *synthesizer) block() {
-	s := sy.s
-	var cl []bv.Lit
-	differ := func(l bv.Lit) {
-		if s.Value(l) {
-			l = l.Not()
-		}
-		cl = append(cl, l)
-	}
-	for _, evs := range sy.entries {
-		for _, ev := range evs {
-			differ(ev.enabled)
-			if !s.Value(ev.enabled) {
-				continue
-			}
-			for i, m := range ev.mask.Bits {
-				differ(m)
-				if s.Value(m) {
-					differ(ev.value.Bits[i])
-				}
-			}
-			for _, t := range ev.nextSel {
-				if s.Value(t) {
-					differ(t)
-				}
-			}
-			differ(ev.doExtract)
-		}
-	}
-	s.SAT.AddClause(cl...)
-}
-
 // lastQuery exports the most recent solve's instance as DIMACS CNF: every
 // clause encoded so far plus that solve's assumptions as unit clauses, so
 // an external solver can replay the exact query. Needs a recording solver

@@ -144,10 +144,10 @@ type Stats struct {
 	SynthesisTime   time.Duration `json:"synthesis_time"`
 	VerifyTime      time.Duration `json:"verify_time"`
 	TestCases       int           `json:"test_cases"` // final size of the CEGIS example set
-	// Blocked counts the candidates the witness walk refuted and the
-	// ladder blocked, summed like Solver over every ladder the compile ran
-	// (the Opt2 fallback's included).
-	Blocked int `json:"blocked"`
+	// Refuted counts the candidates the witness walk refuted, summed like
+	// Solver over every ladder the compile ran (the Opt2 fallback's
+	// included).
+	Refuted int `json:"refuted"`
 
 	// Lint reports the SpecLint pre-pass: diagnostic counts and the
 	// specification shrink achieved by pruning unreachable states and
@@ -223,7 +223,7 @@ type QueryDump struct {
 type IterationStats struct {
 	Budget     int           `json:"budget"`
 	Examples   int           `json:"examples"`    // CEGIS examples fed before this solve
-	Status     string        `json:"status"`      // sat, unsat, canceled, or blocked (the proof refuted the model)
+	Status     string        `json:"status"`      // sat, unsat, canceled, or refuted (the walk refuted the model)
 	EncodeTime time.Duration `json:"encode_time"` // encoding the examples fed since the last solve
 	SolveTime  time.Duration `json:"solve_time"`
 	VerifyTime time.Duration `json:"verify_time"`

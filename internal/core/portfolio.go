@@ -35,7 +35,7 @@ import (
 // attemptOut is one skeleton attempt's contribution to the reduction.
 type attemptOut struct {
 	res   *Result
-	stats Stats // the ladder's, for its Solver and Blocked totals
+	stats Stats // the ladder's, for its Solver and Refuted totals
 	err   error
 }
 

@@ -190,6 +190,14 @@ func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex
 	return nil, false, false
 }
 
+// confirm pads a packet, such as a walk refutation's, to the search's
+// input length and reports whether prog mishandles it there.
+func (v *verifier) confirm(prog *tcam.Program, pkt bitstream.Bits) (bitstream.Bits, bool) {
+	in := make(bitstream.Bits, v.maxLen)
+	copy(in, pkt)
+	return in, v.differs(lowerProgram(prog, v.low), in)
+}
+
 // fillRandom overwrites in with uniformly random bits, drawing from rng
 // exactly as bitstream.Random does.
 func fillRandom(rng *rand.Rand, in bitstream.Bits) {
@@ -199,77 +207,44 @@ func fillRandom(rng *rand.Rand, in bitstream.Bits) {
 }
 
 // directedCase is one base input of the directed suite together with the
-// key-window positions whose flips make its neighbours.
+// absolute key-window positions whose flips make its neighbours: the
+// target state's window, then the interior hops' windows.
 type directedCase struct {
-	in         bitstream.Bits
-	window     []int // absolute positions of the target state's key window
-	pathWindow []int // key windows of the interior hops
-	dontcare   []int // target rule's masked-out window positions
+	in    bitstream.Bits
+	flips []int
 }
 
 // directedSuite visits, in a fixed order, inputs that drive the
 // specification through every transition rule of every state, each with
-// its one- and two-bit neighbours. It stops early when visit returns
-// false. The visited slice is a scratch buffer, valid only during visit.
+// its one-bit neighbours in the key windows along its path. It stops
+// early when visit returns false. The visited slice is a scratch buffer,
+// valid only during visit.
+//
+// Near-miss neighbours in the target state's window: a TCAM entry with a
+// wrong mask bit is indistinguishable from a right one on exact rule
+// patterns; it always differs on a one-bit neighbour. In the interior
+// hops' windows, one-deviation path coverage: a wrong mask bit on an
+// interior hop is silent when the wrongly entered state falls through to
+// the same outcome — it only shows when a later state's key happens to
+// match, and that is exactly the combination these inputs provide
+// (deviating hop, exact downstream patterns).
 func (v *verifier) directedSuite(visit func(bitstream.Bits) bool) {
 	if v.directed == nil {
 		v.directed = v.directedCases()
 	}
 	in := v.in
-	// flip visits in with bit ip flipped, and restores it.
-	flip := func(ip int) bool {
-		in[ip] ^= 1
-		ok := visit(in)
-		in[ip] ^= 1
-		return ok
-	}
 	for _, c := range v.directed {
 		copy(in, c.in)
 		if !visit(in) {
 			return
 		}
-		// Near-miss neighbours: flip each bit of s's key window. A TCAM
-		// entry with a wrong mask bit is indistinguishable from a right
-		// one on exact rule patterns; it always differs on a one-bit
-		// neighbour.
-		for _, ip := range c.window {
-			if !flip(ip) {
+		for _, ip := range c.flips {
+			in[ip] ^= 1
+			ok := visit(in)
+			in[ip] ^= 1
+			if !ok {
 				return
 			}
-		}
-		// One-deviation path coverage: also flip each bit of every
-		// interior hop's key window while the rest of the path stays on
-		// its rule patterns. A wrong mask bit on an interior hop is
-		// silent when the wrongly entered state falls through to the
-		// same outcome — it only shows when a later state's key happens
-		// to match, and that is exactly the combination these inputs
-		// provide (deviating hop, exact downstream patterns).
-		for _, ip := range c.pathWindow {
-			if !flip(ip) {
-				return
-			}
-		}
-		// Don't-care-plane coverage: the base pattern leaves a rule's
-		// masked-out bits at whatever the walk produced (usually 0),
-		// so an implementation that is only wrong on the other setting
-		// of a don't-care bit — e.g. a split-key realization that
-		// drops the mask conjunct of one fragment — survives every
-		// input above. Flip each don't-care bit to visit its
-		// unexplored plane, and pair each such flip with every
-		// one-bit window near-miss: that two-bit neighbourhood is
-		// exactly where a dropped mask conjunct first becomes
-		// observable.
-		for _, dp := range c.dontcare {
-			if !flip(dp) {
-				return
-			}
-			in[dp] ^= 1
-			for _, ip := range c.window {
-				if ip != dp && !flip(ip) {
-					return
-				}
-			}
-			in[dp] ^= 1
 		}
 	}
 }
@@ -354,48 +329,18 @@ func (v *verifier) directedCases() []directedCase {
 					}
 					pos = r.extractAll(in, v.low.states[si].extracts, pos)
 				}
-				c.pathWindow = c.pathWindow[:0]
+				var path []int
 				for i, si := range states {
-					c.pathWindow = collect(si, c.pathWindow)
+					path = collect(si, path)
 					step(si, rules[i])
 				}
-				c.window = collect(s, c.window[:0])
-				if target >= 0 {
-					c.dontcare = v.dontcarePositions(in, pos, s, v.spec.States[s].Rules[target])
-				} else {
-					c.dontcare = nil
-				}
+				c.flips = append(collect(s, c.flips[:0]), path...)
 				step(s, target)
 			}
 			cases = append(cases, c)
 		}
 	}
 	return cases
-}
-
-// dontcarePositions returns the in-range absolute input positions of the
-// key-window bits that rule r's mask ignores, with state si's cursor at
-// pos — the bits writePatternAll leaves untouched.
-func (v *verifier) dontcarePositions(in bitstream.Bits, pos, si int, r pir.Rule) []int {
-	total := 0
-	for _, p := range v.keys[si] {
-		total += p.BitWidth()
-	}
-	var out []int
-	bit := 0
-	for _, p := range v.keys[si] {
-		w := p.BitWidth()
-		for j := 0; j < w; j++ {
-			shift := uint(total - bit - 1)
-			if r.Mask>>shift&1 == 0 {
-				if ip := pos + p.RelOff + j; ip >= 0 && ip < len(in) {
-					out = append(out, ip)
-				}
-			}
-			bit++
-		}
-	}
-	return out
 }
 
 // writePatternAll writes a rule pattern into a state's key windows,

@@ -170,7 +170,9 @@ func TestTrueLintClaimsNotRefuted(t *testing.T) {
 // TestSplitKeyMaskRegression pins the real divergence hawkfuzz found: a
 // masked rule over a key wider than KeyLimit, where an unsound candidate
 // dropped one fragment's mask conjunct and the sampling verifier missed
-// it. The don't-care-plane directed suite must keep this compile honest.
+// it. The counterexample search still passes such candidates; the walk
+// refutes them, and their packets, added as CEGIS examples, must keep
+// this compile honest.
 func TestSplitKeyMaskRegression(t *testing.T) {
 	spec := benchdata.FuzzSplitKeyMaskFixture()
 	cfg := testConfig(tables.TofinoScaled())

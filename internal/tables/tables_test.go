@@ -105,9 +105,10 @@ func TestTable4Shape(t *testing.T) {
 	}
 	// ME-2@8's key-split candidates are wrong only on chunk
 	// cross-combinations the counterexample search never builds, so the
-	// witness walk refutes and blocks them whatever the solver proposes.
-	if runs[3].Stats.Blocked == 0 {
-		t.Errorf("ME-2@8: no blocked candidate recorded")
+	// witness walk refutes them whatever the solver proposes, and each
+	// refutation's packet becomes an example.
+	if runs[3].Stats.Refuted == 0 || runs[3].Entries != 8 {
+		t.Errorf("ME-2@8: %d refuted candidates and %d entries, want some and 8", runs[3].Stats.Refuted, runs[3].Entries)
 	}
 	for _, r := range rows {
 		if r.PHErr != "" {
