@@ -28,7 +28,7 @@ import (
 	"parserhawk/internal/fuzz"
 	"parserhawk/internal/hw"
 	"parserhawk/internal/p4"
-	_ "parserhawk/internal/tables" // registers the *-scaled profiles with hw
+	"parserhawk/internal/tables"
 )
 
 func main() {
@@ -61,9 +61,9 @@ func main() {
 		if name == "" {
 			continue
 		}
-		p, ok := hw.ByName(name)
+		p, ok := tables.ProfileByName(name)
 		if !ok {
-			fatal(fmt.Errorf("unknown profile %q (known: %s)", name, strings.Join(hw.Names(), " ")))
+			fatal(fmt.Errorf("unknown profile %q (known: %s)", name, strings.Join(tables.ProfileNames(), " ")))
 		}
 		profs = append(profs, p)
 	}

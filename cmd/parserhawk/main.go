@@ -35,11 +35,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"parserhawk"
-	"parserhawk/internal/hw"
+	"parserhawk/internal/core"
 	"parserhawk/internal/memo"
 	"parserhawk/internal/tables"
 )
@@ -103,9 +102,9 @@ func main() {
 		}()
 	}
 
-	// Targets resolve through the same registry the hawkd service uses
-	// (tables.ProfileByName), so every profile name the service accepts
-	// the CLI accepts too — the service-identity CI gate depends on it.
+	// Targets resolve through the profile list the hawkd service serves
+	// (tables.Profiles), so every profile name the service accepts the
+	// CLI accepts too — the service-identity CI gate depends on it.
 	var profile parserhawk.Profile
 	if *target == "custom" {
 		profile = parserhawk.Custom(*key, *lookahead, *extract)
@@ -131,11 +130,12 @@ func main() {
 	// -dimacs / -proof: keep the most-conflicted query any budget rung
 	// reports and write it out after compilation — even a failed one, since
 	// the hardest query of a timeout is exactly what one wants to replay
-	// offline. Both flags select through the same hardestQuery sink so the
-	// dumped CNF and the dumped proof always describe the same solver calls.
-	var hardest hardestQuery
+	// offline. Both flags select from the same core.HardestQuery, the one
+	// the certificate's proof bundle comes from, so the dumped CNF and the
+	// dumped proof always describe the same solver calls.
+	var hardest core.HardestQuery
 	if *dimacsDir != "" || *proofOut != "" {
-		opts.QuerySink = hardest.consider
+		opts.QuerySink = hardest.Consider
 	}
 	if *certOut != "" {
 		opts.EmitCertificate = true
@@ -182,7 +182,7 @@ func main() {
 		res, err = parserhawk.Compile(spec, profile, opts)
 	}
 	if *dimacsDir != "" {
-		if werr := hardest.write(*dimacsDir, spec.Name); werr != nil {
+		if werr := writeHardest(*dimacsDir, spec.Name, hardest.Best()); werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
 			if err == nil {
 				os.Exit(1)
@@ -190,7 +190,7 @@ func main() {
 		}
 	}
 	if *proofOut != "" {
-		if werr := hardest.writeProof(*proofOut); werr != nil {
+		if werr := writeProof(*proofOut, hardest.Proved()); werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
 			if err == nil {
 				os.Exit(1)
@@ -267,10 +267,10 @@ func main() {
 }
 
 // runTargets is the -targets mode: resolve every requested profile
-// through the shared registry, fan the spec across them, print the
+// through the shared profile list, fan the spec across them, print the
 // comparison table, and — when an expectations file is given — gate on
-// it. Unknown names are a usage error that lists the registry, so typos
-// fail loudly instead of silently compiling a subset.
+// it. Unknown names are a usage error that lists the known profiles, so
+// typos fail loudly instead of silently compiling a subset.
 func runTargets(spec *parserhawk.Spec, list, expectPath string, opts parserhawk.Options) int {
 	var profiles []parserhawk.Profile
 	for _, name := range strings.Split(list, ",") {
@@ -281,7 +281,7 @@ func runTargets(spec *parserhawk.Spec, list, expectPath string, opts parserhawk.
 		p, ok := tables.ProfileByName(name)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "parserhawk: -targets: unknown target %q (known: %s)\n",
-				name, strings.Join(hw.Names(), ", "))
+				name, strings.Join(tables.ProfileNames(), ", "))
 			return 2
 		}
 		profiles = append(profiles, p)
@@ -343,41 +343,18 @@ func readExpectations(path string) (map[string]string, error) {
 	return want, nil
 }
 
-// hardestQuery keeps the most-conflicted QueryDump seen so far — overall
-// for -dimacs, and among proof-bearing UNSAT dumps for -proof, so both
-// flags select from the same stream of solver calls. The sink may be
-// called concurrently from racing skeleton attempts, hence the mutex.
-type hardestQuery struct {
-	mu     sync.Mutex
-	best   *parserhawk.QueryDump
-	proved *parserhawk.QueryDump
-}
-
-func (h *hardestQuery) consider(q parserhawk.QueryDump) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.best == nil || q.Conflicts > h.best.Conflicts {
-		h.best = &q
-	}
-	if len(q.Proof) > 0 && (h.proved == nil || q.Conflicts > h.proved.Conflicts) {
-		h.proved = &q
-	}
-}
-
-// write saves the hardest query as <dir>/<spec>.hardest.cnf: a DIMACS
-// comment header identifying the query, then the instance with that
-// solve's assumptions as unit clauses. Capturing none is no failure.
-func (h *hardestQuery) write(dir, spec string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.best == nil { // a memo replay solves nothing
+// writeHardest saves the hardest query q as <dir>/<spec>.hardest.cnf: a
+// DIMACS comment header identifying the query, then the instance with
+// that solve's assumptions as unit clauses. Capturing none (q nil) is no
+// failure.
+func writeHardest(dir, spec string, q *parserhawk.QueryDump) error {
+	if q == nil { // a memo replay solves nothing
 		fmt.Fprintln(os.Stderr, "parserhawk: -dimacs: no SAT query was captured; nothing written")
 		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("parserhawk: -dimacs: %w", err)
 	}
-	q := h.best
 	var b strings.Builder
 	fmt.Fprintf(&b, "c parserhawk hardest query\n")
 	fmt.Fprintf(&b, "c spec=%s skeleton=%s budget=%d examples=%d\n", q.Spec, q.Skeleton, q.Budget, q.Examples)
@@ -392,18 +369,15 @@ func (h *hardestQuery) write(dir, spec string) error {
 	return nil
 }
 
-// writeProof saves the hardest proof-bearing query's DRAT log to path and
-// the exact CNF it refutes to path+".cnf", a checkable pair for any DRAT
-// checker (hawkcheck validates the same pair embedded in a certificate).
-// Capturing none is no failure.
-func (h *hardestQuery) writeProof(path string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.proved == nil { // no rung was refuted
+// writeProof saves the hardest proof-bearing query q's DRAT log to path
+// and the exact CNF it refutes to path+".cnf", a checkable pair for any
+// DRAT checker (hawkcheck validates the same pair embedded in a
+// certificate). Capturing none (q nil) is no failure.
+func writeProof(path string, q *parserhawk.QueryDump) error {
+	if q == nil { // no rung was refuted
 		fmt.Fprintln(os.Stderr, "parserhawk: -proof: no UNSAT query with a proof was captured; nothing written")
 		return nil
 	}
-	q := h.proved
 	if err := os.WriteFile(path, q.Proof, 0o644); err != nil {
 		return fmt.Errorf("parserhawk: -proof: %w", err)
 	}

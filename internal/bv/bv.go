@@ -125,20 +125,6 @@ func (s *Solver) Const(v uint64, width int) BV {
 	return b
 }
 
-// Concat concatenates bitvectors MSB-first.
-func (s *Solver) Concat(vs ...BV) BV {
-	var bits []Lit
-	for _, v := range vs {
-		bits = append(bits, v.Bits...)
-	}
-	return BV{Bits: bits}
-}
-
-// Extract returns bits [lo, hi) of b (0 = MSB).
-func (s *Solver) Extract(b BV, lo, hi int) BV {
-	return BV{Bits: append([]Lit(nil), b.Bits[lo:hi]...)}
-}
-
 // Not negates a boolean formula.
 func (s *Solver) Not(a Lit) Lit { return a.Not() }
 

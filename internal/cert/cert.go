@@ -130,38 +130,16 @@ func (c *Certificate) SelfCheck() error {
 // state names ("mpls@2") need not survive a P4 round-trip.
 type jsonSpec struct {
 	Name   string          `json:"name"`
-	Fields []jsonSpecField `json:"fields"`
+	Fields []pir.Field     `json:"fields"`
 	States []jsonSpecState `json:"states"`
 }
 
-type jsonSpecField struct {
-	Name  string `json:"name"`
-	Width int    `json:"width"`
-	Var   bool   `json:"varbit,omitempty"`
-}
-
 type jsonSpecState struct {
-	Name     string            `json:"name"`
-	Extracts []jsonSpecExtract `json:"extracts,omitempty"`
-	Key      []jsonSpecKeyPart `json:"key,omitempty"`
-	Rules    []jsonSpecRule    `json:"rules,omitempty"`
-	Default  jsonSpecTarget    `json:"default"`
-}
-
-type jsonSpecExtract struct {
-	Field    string `json:"field"`
-	LenField string `json:"lenField,omitempty"`
-	LenScale int    `json:"lenScale,omitempty"`
-	LenBias  int    `json:"lenBias,omitempty"`
-}
-
-type jsonSpecKeyPart struct {
-	Field     string `json:"field,omitempty"`
-	Lo        int    `json:"lo,omitempty"`
-	Hi        int    `json:"hi,omitempty"`
-	Lookahead bool   `json:"lookahead,omitempty"`
-	Skip      int    `json:"skip,omitempty"`
-	Width     int    `json:"width,omitempty"`
+	Name     string         `json:"name"`
+	Extracts []pir.Extract  `json:"extracts,omitempty"`
+	Key      []pir.KeyPart  `json:"key,omitempty"`
+	Rules    []jsonSpecRule `json:"rules,omitempty"`
+	Default  jsonSpecTarget `json:"default"`
 }
 
 type jsonSpecRule struct {
@@ -200,25 +178,12 @@ func decodeSpecTarget(t jsonSpecTarget) (pir.Target, error) {
 
 // EncodeSpecJSON serializes a pir.Spec structurally.
 func EncodeSpecJSON(s *pir.Spec) ([]byte, error) {
-	out := jsonSpec{Name: s.Name}
-	for _, f := range s.Fields {
-		out.Fields = append(out.Fields, jsonSpecField{Name: f.Name, Width: f.Width, Var: f.Var})
-	}
+	// The copy is nil for an empty field table, which the wire form
+	// writes as "fields":null.
+	out := jsonSpec{Name: s.Name, Fields: append([]pir.Field(nil), s.Fields...)}
 	for i := range s.States {
 		st := &s.States[i]
-		js := jsonSpecState{Name: st.Name, Default: encodeSpecTarget(st.Default)}
-		for _, x := range st.Extracts {
-			js.Extracts = append(js.Extracts, jsonSpecExtract{
-				Field: x.Field, LenField: x.LenField,
-				LenScale: x.LenScale, LenBias: x.LenBias,
-			})
-		}
-		for _, k := range st.Key {
-			js.Key = append(js.Key, jsonSpecKeyPart{
-				Field: k.Field, Lo: k.Lo, Hi: k.Hi,
-				Lookahead: k.Lookahead, Skip: k.Skip, Width: k.Width,
-			})
-		}
+		js := jsonSpecState{Name: st.Name, Extracts: st.Extracts, Key: st.Key, Default: encodeSpecTarget(st.Default)}
 		for _, r := range st.Rules {
 			js.Rules = append(js.Rules, jsonSpecRule{
 				Value: fmt.Sprintf("%#x", r.Value),
@@ -238,29 +203,13 @@ func DecodeSpecJSON(data []byte) (*pir.Spec, error) {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, err
 	}
-	fields := make([]pir.Field, 0, len(in.Fields))
-	for _, f := range in.Fields {
-		fields = append(fields, pir.Field{Name: f.Name, Width: f.Width, Var: f.Var})
-	}
 	states := make([]pir.State, 0, len(in.States))
 	for _, js := range in.States {
 		def, err := decodeSpecTarget(js.Default)
 		if err != nil {
 			return nil, fmt.Errorf("state %q: %w", js.Name, err)
 		}
-		st := pir.State{Name: js.Name, Default: def}
-		for _, x := range js.Extracts {
-			st.Extracts = append(st.Extracts, pir.Extract{
-				Field: x.Field, LenField: x.LenField,
-				LenScale: x.LenScale, LenBias: x.LenBias,
-			})
-		}
-		for _, k := range js.Key {
-			st.Key = append(st.Key, pir.KeyPart{
-				Field: k.Field, Lo: k.Lo, Hi: k.Hi,
-				Lookahead: k.Lookahead, Skip: k.Skip, Width: k.Width,
-			})
-		}
+		st := pir.State{Name: js.Name, Extracts: js.Extracts, Key: js.Key, Default: def}
 		for _, r := range js.Rules {
 			next, err := decodeSpecTarget(r.Next)
 			if err != nil {
@@ -278,5 +227,5 @@ func DecodeSpecJSON(data []byte) (*pir.Spec, error) {
 		}
 		states = append(states, st)
 	}
-	return pir.New(in.Name, fields, states)
+	return pir.New(in.Name, in.Fields, states)
 }

@@ -121,10 +121,16 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 	// The hardest proof-bearing query is kept for the certificate; the
 	// tee forwards every dump to the caller's sink unchanged, so -dimacs
 	// and the certificate always describe the same solver call.
-	var hardestProof *proofTee
+	var hardest *HardestQuery
 	if opts.EmitCertificate && opts.LogProofs {
-		hardestProof = &proofTee{next: opts.QuerySink}
-		opts.QuerySink = hardestProof.consider
+		hardest = &HardestQuery{}
+		sink := opts.QuerySink
+		opts.QuerySink = func(q QueryDump) {
+			hardest.Consider(q)
+			if sink != nil {
+				sink(q)
+			}
+		}
 	}
 
 	// Opt2: synthesize against the bit-width-minimized spec.
@@ -240,8 +246,8 @@ func CompileContext(ctx context.Context, spec *pir.Spec, profile hw.Profile, opt
 			unrollUsed = unrollDepth(unroll)
 		}
 		var proofDump *QueryDump
-		if hardestProof != nil {
-			proofDump = hardestProof.take()
+		if hardest != nil {
+			proofDump = hardest.Proved()
 		}
 		best.Certificate = buildCertificate(orig, effOrig, profile, unrollUsed, best, proofDump)
 	}
@@ -301,29 +307,39 @@ func EffectiveSpec(spec *pir.Spec, profile hw.Profile, opts Options) (*pir.Spec,
 	return eff, nil
 }
 
-// proofTee keeps the hardest proof-bearing query dump for the
-// certificate while forwarding every dump to the caller's own sink.
-type proofTee struct {
-	mu   sync.Mutex
-	next func(QueryDump)
-	best *QueryDump
+// HardestQuery keeps the most-conflicted query dump it is offered, both
+// overall (Best) and among the dumps that carry a DRAT proof (Proved); on
+// a tie the first dump stays. Portfolio workers offer dumps concurrently,
+// so it locks. The zero value is ready to use.
+type HardestQuery struct {
+	mu           sync.Mutex
+	best, proved *QueryDump
 }
 
-func (t *proofTee) consider(q QueryDump) {
-	t.mu.Lock()
-	if len(q.Proof) > 0 && (t.best == nil || q.Conflicts > t.best.Conflicts) {
-		t.best = &q
+// Consider offers one dump; it is an Options.QuerySink.
+func (h *HardestQuery) Consider(q QueryDump) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.best == nil || q.Conflicts > h.best.Conflicts {
+		h.best = &q
 	}
-	t.mu.Unlock()
-	if t.next != nil {
-		t.next(q)
+	if len(q.Proof) > 0 && (h.proved == nil || q.Conflicts > h.proved.Conflicts) {
+		h.proved = &q
 	}
 }
 
-func (t *proofTee) take() *QueryDump {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.best
+// Best returns the most-conflicted dump, or nil when none was offered.
+func (h *HardestQuery) Best() *QueryDump {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.best
+}
+
+// Proved returns the most-conflicted dump carrying a proof, or nil.
+func (h *HardestQuery) Proved() *QueryDump {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.proved
 }
 
 // effectiveWorkers resolves Options.Workers: an explicit value wins, zero
@@ -593,7 +609,7 @@ func (eng *skeletonEngine) runBudget(ctx context.Context, budget int, env *budge
 		// counterexample, and prove the program when the search finds none.
 		cand := sy.extract(eng.effSynth, eng.synthSk)
 		t1 := time.Now()
-		cex, found, interrupted := env.ver.counterexampleStop(cand, stop)
+		cex, found, interrupted := env.ver.counterexample(cand, stop)
 		var res *Result
 		var err error
 		if !found && !interrupted {

@@ -26,7 +26,7 @@ func checkEquivalent(t *testing.T, spec *pir.Spec, res *Result, maxBits int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cex, found := v.counterexample(res.Program); found {
+	if cex, found, _ := v.counterexample(res.Program, nil); found {
 		got := res.Program.Run(cex, 0)
 		want := spec.Run(cex, 0)
 		t.Fatalf("not equivalent on %s:\nimpl acc=%v rej=%v dict=%v\nspec acc=%v rej=%v dict=%v\nprogram:\n%s",
@@ -401,7 +401,7 @@ func TestRefutationPacketExcludesModel(t *testing.T) {
 					break
 				}
 				cand := sy.extract(eff, sk)
-				if cex, found := env.ver.counterexample(cand); found {
+				if cex, found, _ := env.ver.counterexample(cand, nil); found {
 					env.examples.add(cex)
 					continue
 				}

@@ -145,7 +145,7 @@ func TestDirectedSuiteCatchesInteriorHopDeviation(t *testing.T) {
 	k := v.maxIterBudget()
 
 	// The correct program is equivalent: no counterexample anywhere.
-	if cex, found := v.counterexample(good); found {
+	if cex, found, _ := v.counterexample(good, nil); found {
 		t.Fatalf("correct program rejected on %s", cex)
 	}
 
@@ -163,7 +163,7 @@ func TestDirectedSuiteCatchesInteriorHopDeviation(t *testing.T) {
 	if !caught || !caughtLowered {
 		t.Fatalf("one-deviation directed suite missed the wrong interior-hop mask bit (reference %v, lowered %v)", caught, caughtLowered)
 	}
-	if _, found := v.counterexample(bad); !found {
+	if _, found, _ := v.counterexample(bad, nil); !found {
 		t.Fatal("counterexample search missed the wrong interior-hop mask bit")
 	}
 }

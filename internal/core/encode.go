@@ -114,7 +114,7 @@ func newSynthesizer(spec *pir.Spec, sk *skeleton, profile hw.Profile, opts Optio
 				vals := make([]bv.BV, len(ss.Candidates))
 				for ci, c := range ss.Candidates {
 					sel[ci] = sy.s.NewLit()
-					vals[ci] = sy.s.Const(c.Value, ss.KeyWidth)
+					vals[ci] = sy.s.Const(c, ss.KeyWidth)
 				}
 				sy.s.ExactlyOne(sel)
 				ev.value = sy.s.SelectBV(sel, vals)

@@ -164,7 +164,7 @@ func checkExhaustiveSearch(t testing.TB, v *verifier, prog *tcam.Program) {
 			break
 		}
 	}
-	got, found := v.counterexample(prog)
+	got, found, _ := v.counterexample(prog, nil)
 	if found != (want != nil) || found && !got.Equal(want) {
 		t.Fatalf("search returned %s (found=%v), enumeration %s (found=%v)\nprogram:\n%s",
 			got, found, want, want != nil, prog)
@@ -340,7 +340,7 @@ func TestLoweredCheckHandFixtures(t *testing.T) {
 			if tc.wrong != (wrong > 0) {
 				t.Fatalf("program wrong on %d inputs, want wrong=%v", wrong, tc.wrong)
 			}
-			if _, found := v.counterexample(tc.prog); found != tc.wrong {
+			if _, found, _ := v.counterexample(tc.prog, nil); found != tc.wrong {
 				t.Fatalf("counterexample found=%v, want %v", found, tc.wrong)
 			}
 			checkExhaustiveSearch(t, v, tc.prog)

@@ -112,7 +112,7 @@ func TestRandomSpecsCompileCorrectly(t *testing.T) {
 			if verr != nil {
 				t.Fatalf("spec %d: %v", i, verr)
 			}
-			if cex, found := v.counterexample(res.Program); found {
+			if cex, found, _ := v.counterexample(res.Program, nil); found {
 				t.Fatalf("spec %d on %s: WRONG program on input %s\nspec:\n%s\nprogram:\n%s",
 					i, p.Name, cex, spec, res.Program)
 			}
@@ -151,7 +151,7 @@ func TestRandomSpecsNarrowDevice(t *testing.T) {
 		if verr != nil {
 			t.Fatal(verr)
 		}
-		if cex, found := v.counterexample(res.Program); found {
+		if cex, found, _ := v.counterexample(res.Program, nil); found {
 			t.Fatalf("spec %d: wrong after split on %s\nspec:\n%s\nprogram:\n%s",
 				i, cex, spec, res.Program)
 		}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"parserhawk/internal/hw"
 	"parserhawk/internal/pir"
@@ -41,11 +41,11 @@ type skelState struct {
 	Key        []skelKeyPart
 	KeyWidth   int
 	MaxEntries int
-	// Candidates is the Opt4 value domain for this state's entries: the
-	// specification constants (projected to this state's key width) that
-	// entry VALUES are drawn from; masks remain symbolic (§6.4.1, §6.4.2).
-	// Empty means free symbolic values (the naive encoding).
-	Candidates []pir.MaskedConst
+	// Candidates is the Opt4 value domain for this state's entries (see
+	// candidates): entry VALUES are drawn from it; masks remain symbolic
+	// (§6.4.1, §6.4.2). Empty means free symbolic values (the naive
+	// encoding).
+	Candidates []uint64
 	// StaticWidth is the extraction width when no varbit is present;
 	// varbit states compute width per input position.
 	StaticWidth int
@@ -391,7 +391,7 @@ func baseSkeleton(spec *pir.Spec, profile hw.Profile, opts Options, reach []bool
 			HasVarbit:   lay.varbitAt >= 0,
 		}
 		if opts.Opt4ConstantSynthesis {
-			ss.Candidates = stateCandidates(spec, []int{si}, kw)
+			ss.Candidates = candidates(spec, []int{si}, kw, 0, kw)
 		}
 		sk.States = append(sk.States, ss)
 	}
@@ -442,35 +442,9 @@ func deferredPair(spec *pir.Spec, si int, st *pir.State, lay layout, key []skelK
 		MaxEntries: len(st.Rules) + 2,
 	}
 	if opts.Opt4ConstantSynthesis {
-		sel.Candidates = stateCandidates(spec, []int{si}, kw)
+		sel.Candidates = candidates(spec, []int{si}, kw, 0, kw)
 	}
 	return ext, sel, nil
-}
-
-// stateCandidates collects the Opt4 value domain for an implementation
-// state realizing the given spec states: each spec rule's value. If a
-// merging (V, M) covers constants A_1..A_n, then (A_i, M) is an equally
-// valid entry (§6.4.1), so entry values never need to leave this set.
-func stateCandidates(spec *pir.Spec, specStates []int, kw int) []pir.MaskedConst {
-	seen := map[uint64]bool{}
-	var out []pir.MaskedConst
-	add := func(v uint64) {
-		v &= widthMask(kw)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, pir.MaskedConst{Value: v, Mask: widthMask(kw), Width: kw})
-		}
-	}
-	for _, si := range specStates {
-		for _, r := range spec.States[si].Rules {
-			add(r.Value & r.Mask)
-		}
-	}
-	if len(out) == 0 {
-		add(0)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Value < out[b].Value })
-	return out
 }
 
 // quotientSkeleton merges structurally identical spec states into a single
@@ -523,7 +497,7 @@ func quotientSkeleton(spec *pir.Spec, profile hw.Profile, opts Options, base ske
 		ss.SpecStates = specStates
 		ss.MaxEntries = rules + 2
 		if opts.Opt4ConstantSynthesis {
-			ss.Candidates = stateCandidates(spec, specStates, ss.KeyWidth)
+			ss.Candidates = candidates(spec, specStates, ss.KeyWidth, 0, ss.KeyWidth)
 		}
 		sk.States = append(sk.States, ss)
 	}
@@ -602,7 +576,7 @@ func splitSkeleton(spec *pir.Spec, profile hw.Profile, opts Options, base skelet
 				sub.HasVarbit = ss.HasVarbit
 				sub.OptionalExtract = true
 				if opts.Opt4ConstantSynthesis {
-					sub.Candidates = chunkCandidates(spec, ss.SpecStates, ss.KeyWidth, ch.lo, ch.hi)
+					sub.Candidates = candidates(spec, ss.SpecStates, ss.KeyWidth, ch.lo, ch.hi)
 				}
 				sk.States = append(sk.States, sub)
 			}
@@ -637,18 +611,24 @@ func sliceKey(key []skelKeyPart, lo, hi int) []skelKeyPart {
 	return out
 }
 
-// chunkCandidates projects each spec rule's value onto the chunk's bit
-// range — the §6.4.3 subrange constants C[i:j] that fit the hardware key
-// width.
-func chunkCandidates(spec *pir.Spec, specStates []int, kw, lo, hi int) []pir.MaskedConst {
+// candidates is the Opt4 value domain (§6.4) of an implementation state
+// realizing specStates whose composed key is kw bits wide: each spec
+// rule's value, projected onto key bits [lo, hi), deduplicated and in
+// ascending order. A whole-key state takes [0, kw); a key-split chunk
+// takes its own range, the §6.4.3 subrange constants C[i:j]. If a merging
+// (V, M) covers constants A_1..A_n, then (A_i, M) is an equally valid
+// entry (§6.4.1), so entry values never need to leave this set. There are
+// no adjacent-state concatenations (§6.4.1, Figure 16(b)): no skeleton
+// merges consecutive keyed states into one select, and one that did would
+// add the concatenated constants here.
+func candidates(spec *pir.Spec, specStates []int, kw, lo, hi int) []uint64 {
 	seen := map[uint64]bool{}
-	var out []pir.MaskedConst
-	w := hi - lo
+	var out []uint64
 	add := func(v uint64) {
-		v &= widthMask(w)
+		v &= widthMask(hi - lo)
 		if !seen[v] {
 			seen[v] = true
-			out = append(out, pir.MaskedConst{Value: v, Mask: widthMask(w), Width: w})
+			out = append(out, v)
 		}
 	}
 	shift := uint(kw - hi)
@@ -660,7 +640,7 @@ func chunkCandidates(spec *pir.Spec, specStates []int, kw, lo, hi int) []pir.Mas
 	if len(out) == 0 {
 		add(0)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Value < out[b].Value })
+	slices.Sort(out)
 	return out
 }
 

@@ -113,24 +113,18 @@ func (v *verifier) differs(lp *lowProgram, in bitstream.Bits) bool {
 }
 
 // counterexample searches for an input on which prog and the spec
-// disagree. The boolean reports whether one was found.
-func (v *verifier) counterexample(prog *tcam.Program) (cex bitstream.Bits, found bool) {
-	cex, found, _ = v.counterexampleStop(prog, nil)
-	return cex, found
-}
-
-// counterexampleStop is counterexample with a cancellation hook: stop (when
-// non-nil) is polled periodically and aborts the search. An aborted search
-// reports interrupted=true and MUST NOT be read as "no counterexample
-// exists" — the candidate was simply not fully checked. Callers that race
-// budget runners rely on this distinction to avoid accepting an unverified
+// disagree; found reports whether one was. stop (when non-nil) is polled
+// periodically and aborts the search. An aborted search reports
+// interrupted=true and MUST NOT be read as "no counterexample exists" —
+// the candidate was simply not fully checked. Callers that race budget
+// runners rely on this distinction to avoid accepting an unverified
 // program when their sibling wins.
 //
 // Inputs are generated into one reused buffer, in an order and with RNG
 // draws fixed across releases up to the end of a search that finds
 // nothing (every counterexample, and so every SAT query and program,
 // depends on them); a returned counterexample is a copy.
-func (v *verifier) counterexampleStop(prog *tcam.Program, stop func() bool) (cex bitstream.Bits, found, interrupted bool) {
+func (v *verifier) counterexample(prog *tcam.Program, stop func() bool) (cex bitstream.Bits, found, interrupted bool) {
 	lp := lowerProgram(prog, v.low)
 	stopped := func(i int) bool {
 		return stop != nil && i&63 == 0 && stop()

@@ -51,23 +51,6 @@ func (a Arch) String() string {
 	}
 }
 
-// ArchByName is the inverse of Arch.String. Certificates carry the arch as
-// a string so the checker can re-validate a deployment against the right
-// device semantics without importing anything beyond this package.
-func ArchByName(name string) (Arch, bool) {
-	switch name {
-	case "single-tcam-table":
-		return SingleTable, true
-	case "pipelined-tcam-tables":
-		return Pipelined, true
-	case "interleaved":
-		return Interleaved, true
-	case "streaming-pipeline":
-		return Streaming, true
-	}
-	return 0, false
-}
-
 // Objective is the device-unit cost model the synthesizer minimizes. The
 // iterative-deepening ladder and the portfolio's dominance comparison are
 // both generic over it: "budget" means Objective units, not TCAM entries. The zero value (ObjectiveAuto) derives the historical

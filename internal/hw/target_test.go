@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
@@ -20,51 +19,6 @@ func TestStreamingProfileConstructor(t *testing.T) {
 	if f.Objective.For(f.Arch) != MinimizeDepth {
 		t.Errorf("fpga objective resolves to %v, want min-depth", f.Objective.For(f.Arch))
 	}
-}
-
-func TestArchByName(t *testing.T) {
-	for _, a := range []Arch{SingleTable, Pipelined, Interleaved, Streaming} {
-		got, ok := ArchByName(a.String())
-		if !ok || got != a {
-			t.Errorf("ArchByName(%q) = %v, %v", a.String(), got, ok)
-		}
-	}
-	if _, ok := ArchByName("quantum"); ok {
-		t.Error("unknown arch name resolved")
-	}
-}
-
-func TestRegistryResolvesBuiltins(t *testing.T) {
-	for _, name := range []string{"tofino", "ipu", "fpga"} {
-		p, ok := ByName(name)
-		if !ok || p.Name != name {
-			t.Errorf("ByName(%q) = %+v, %v", name, p, ok)
-		}
-	}
-	if _, ok := ByName("nonesuch"); ok {
-		t.Error("unknown profile resolved")
-	}
-	names := Names()
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("Names() not sorted: %v", names)
-	}
-	if len(All()) != len(names) {
-		t.Errorf("All()=%d profiles, Names()=%d", len(All()), len(names))
-	}
-}
-
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	mustPanic := func(what string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", what)
-			}
-		}()
-		f()
-	}
-	mustPanic("duplicate registration", func() { Register(Tofino()) })
-	mustPanic("empty name", func() { Register(Profile{}) })
 }
 
 func TestFingerprintDistinguishesArchAndObjective(t *testing.T) {

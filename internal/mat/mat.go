@@ -162,6 +162,3 @@ func (p *Pipeline) String() string {
 
 // U64 is a convenience for building SetConst actions.
 func U64(v uint64) *uint64 { return &v }
-
-// I64 is a convenience for building AddConst actions.
-func I64(v int64) *int64 { return &v }

@@ -35,11 +35,12 @@ func TestSetConst(t *testing.T) {
 }
 
 func TestCopyAndAdd(t *testing.T) {
+	dec := int64(-1)
 	p := &Pipeline{Tables: []Table{{
 		Rules: []Rule{{
 			Actions: []Action{
 				{Field: "dst", Width: 8, CopyFrom: "src"},
-				{Field: "ttl", Width: 8, AddConst: I64(-1)},
+				{Field: "ttl", Width: 8, AddConst: &dec},
 			},
 		}},
 	}}}

@@ -344,7 +344,7 @@ func TestLowerReferenceIntoPIRTypes(t *testing.T) {
 	for _, f := range spec.Fields {
 		names = append(names, f.Name)
 	}
-	if spec.FieldIndex("eth.etherType") < 0 {
+	if _, ok := spec.Field("eth.etherType"); !ok {
 		t.Errorf("qualified field names missing: %v", names)
 	}
 	_ = pir.AcceptTarget

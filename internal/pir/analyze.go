@@ -147,171 +147,6 @@ func (s *Spec) IrrelevantFields() []string {
 	return out
 }
 
-// MaskedConst is a candidate (value, mask) pair for TCAM entry synthesis.
-type MaskedConst struct {
-	Value, Mask uint64
-	Width       int
-}
-
-// ConstantSet implements the Opt4 domain restriction (§6.4): instead of
-// searching the full 2^KW space of symbolic match constants, the solver
-// chooses among values that already occur in the specification, plus
-//
-//   - concatenations of constants in adjacent parser states (§6.4.1,
-//     Figure 16(b)), recovering cross-state merges, and
-//   - every hardware-width subrange C[i:j] with j-i <= keyWidthLimit of each
-//     wide constant (§6.4.3), enabling key splitting.
-//
-// The result is deduplicated and deterministic.
-func (s *Spec) ConstantSet(keyWidthLimit int) []MaskedConst {
-	type key struct {
-		v, m uint64
-		w    int
-	}
-	seen := map[key]bool{}
-	var out []MaskedConst
-	add := func(c MaskedConst) {
-		c.Value &= c.Mask
-		k := key{c.Value, c.Mask, c.Width}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, c)
-		}
-	}
-
-	// Per-state constants and their subranges.
-	perState := make([][]MaskedConst, len(s.States))
-	for i := range s.States {
-		st := &s.States[i]
-		kw := st.KeyWidth()
-		for _, r := range st.Rules {
-			c := MaskedConst{Value: r.Value & widthMask(kw), Mask: r.Mask & widthMask(kw), Width: kw}
-			perState[i] = append(perState[i], c)
-			add(c)
-			if keyWidthLimit > 0 && kw > keyWidthLimit {
-				for lo := 0; lo < kw; lo++ {
-					for w := 1; w <= keyWidthLimit && lo+w <= kw; w++ {
-						shift := uint(kw - lo - w)
-						sub := MaskedConst{
-							Value: (c.Value >> shift) & widthMask(w),
-							Mask:  (c.Mask >> shift) & widthMask(w),
-							Width: w,
-						}
-						add(sub)
-					}
-				}
-			}
-		}
-	}
-
-	// Concatenations across adjacent states (parent rule constant followed
-	// by child rule constant), covering Figure 16(b) merges.
-	for i := range s.States {
-		st := &s.States[i]
-		nexts := map[int]bool{}
-		for _, r := range st.Rules {
-			if r.Next.Kind == ToState {
-				nexts[r.Next.State] = true
-			}
-		}
-		if st.Default.Kind == ToState {
-			nexts[st.Default.State] = true
-		}
-		for _, a := range perState[i] {
-			for n := range nexts {
-				for _, b := range perState[n] {
-					w := a.Width + b.Width
-					if w > 64 {
-						continue
-					}
-					add(MaskedConst{
-						Value: a.Value<<uint(b.Width) | b.Value,
-						Mask:  a.Mask<<uint(b.Width) | b.Mask,
-						Width: w,
-					})
-				}
-			}
-		}
-	}
-
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Width != out[b].Width {
-			return out[a].Width < out[b].Width
-		}
-		if out[a].Value != out[b].Value {
-			return out[a].Value < out[b].Value
-		}
-		return out[a].Mask < out[b].Mask
-	})
-	return out
-}
-
-// KeyGroup is a maximal run of contiguous bits of one field used together
-// in transition keys. Opt5 (§6.5) allocates each group to a single
-// implementation state as an indivisible unit.
-type KeyGroup struct {
-	Field  string
-	Lo, Hi int
-}
-
-// KeyGroups returns the per-field bit groups appearing in the spec's
-// transition keys, merged and sorted.
-func (s *Spec) KeyGroups() []KeyGroup {
-	byField := map[string][]KeyGroup{}
-	for i := range s.States {
-		for _, p := range s.States[i].Key {
-			if p.Lookahead {
-				continue
-			}
-			byField[p.Field] = append(byField[p.Field], KeyGroup{p.Field, p.Lo, p.Hi})
-		}
-	}
-	var out []KeyGroup
-	var names []string
-	for f := range byField {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	for _, f := range names {
-		gs := byField[f]
-		sort.Slice(gs, func(a, b int) bool { return gs[a].Lo < gs[b].Lo })
-		cur := gs[0]
-		for _, g := range gs[1:] {
-			if g.Lo <= cur.Hi { // overlapping or adjacent: merge
-				if g.Hi > cur.Hi {
-					cur.Hi = g.Hi
-				}
-				continue
-			}
-			out = append(out, cur)
-			cur = g
-		}
-		out = append(out, cur)
-	}
-	return out
-}
-
-// ExtractedFields returns the names of fields extracted by at least one
-// reachable state, in first-extraction order. Opt3 (§6.3) preallocates
-// exactly these fields to implementation states.
-func (s *Spec) ExtractedFields() []string {
-	reach := s.Reachable()
-	seen := map[string]bool{}
-	var out []string
-	for i := range s.States {
-		if !reach[i] {
-			continue
-		}
-		for _, e := range s.States[i].Extracts {
-			if !seen[e.Field] {
-				seen[e.Field] = true
-				out = append(out, e.Field)
-			}
-		}
-	}
-	return out
-}
-
 // SearchSpaceBits estimates the size (in bits) of the naive synthesis
 // search space for a given entry budget: the symbolic constants (value and
 // mask per entry at the state's key width), next-state selectors, and

@@ -57,15 +57,6 @@ type Witness struct {
 	Fields map[string]string
 }
 
-// OrigField returns the original name of a canonical field (or the
-// input unchanged when it is not a canonical name).
-func (w *Witness) OrigField(canon string) string {
-	if o, ok := w.Fields[canon]; ok {
-		return o
-	}
-	return canon
-}
-
 // FieldToCanon returns the inverse field map: original name -> canonical
 // name. Fields dropped by canonicalization (never referenced) are absent.
 func (w *Witness) FieldToCanon() map[string]string {
@@ -77,11 +68,14 @@ func (w *Witness) FieldToCanon() map[string]string {
 }
 
 // OrigDict renames a dictionary keyed by canonical field names back to
-// the original field names.
+// the original field names; a key that is not a canonical name stays.
 func (w *Witness) OrigDict(d bitstream.Dict) bitstream.Dict {
 	out := make(bitstream.Dict, len(d))
 	for k, v := range d {
-		out[w.OrigField(k)] = v
+		if o, ok := w.Fields[k]; ok {
+			k = o
+		}
+		out[k] = v
 	}
 	return out
 }

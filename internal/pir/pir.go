@@ -8,9 +8,9 @@
 //
 // The package also provides the reference interpreter Spec(I) (§4) and the
 // semantic analyses that drive the synthesis optimizations of §6: relevant
-// transition-key bits (Opt1), irrelevant fields (Opt2), specification
-// constant sets with concatenations and hardware-width subranges (Opt4),
-// per-field key groups (Opt5), and loop detection (Opt7.1).
+// transition-key bits (Opt1), irrelevant fields (Opt2) and loop detection
+// (Opt7.1). Extraction preallocation (Opt3), constant domains (Opt4) and
+// key grouping (Opt5) are built per skeleton state in package core.
 package pir
 
 import (
@@ -56,25 +56,30 @@ func (t Target) String() string {
 	}
 }
 
+// Field, Extract and KeyPart carry their JSON wire names: the deployment
+// program (tcam.EncodeJSON) and the certificate's effective spec
+// (cert.EncodeSpecJSON) marshal them as they are, so a tag change changes
+// every stored program and certificate.
+
 // Field declares a packet field the parser may extract.
 type Field struct {
-	Name  string
-	Width int  // width in bits; for varbit fields the maximum width
-	Var   bool // true for varbit fields whose width is determined at run time
+	Name  string `json:"name"`
+	Width int    `json:"width"`            // width in bits; for varbit fields the maximum width
+	Var   bool   `json:"varbit,omitempty"` // true for varbit fields whose width is determined at run time
 }
 
 // Extract is one field-extraction action inside a state. Extractions within
 // a state happen in order, each advancing the stream cursor by the field's
 // (possibly runtime-determined) width.
 type Extract struct {
-	Field string // name of the extracted field
+	Field string `json:"field"` // name of the extracted field
 
 	// Varbit length: when LenField is non-empty the extracted width is
 	// value(LenField)*LenScale + LenBias bits, clamped to [0, Field.Width].
 	// LenField must have been extracted earlier on every path to this state.
-	LenField string
-	LenScale int
-	LenBias  int
+	LenField string `json:"lenField,omitempty"`
+	LenScale int    `json:"lenScale,omitempty"`
+	LenBias  int    `json:"lenBias,omitempty"`
 }
 
 // KeyPart is one component of a state's transition key. Exactly one of the
@@ -83,12 +88,13 @@ type Extract struct {
 //   - a field slice: bits [Lo, Hi) of an extracted field, MSB-first, or
 //   - lookahead: Width bits starting Skip bits past the current cursor.
 type KeyPart struct {
-	Field  string // extracted-field variant when non-empty
-	Lo, Hi int    // bit range within the field, 0 = MSB
+	Field string `json:"field,omitempty"` // extracted-field variant when non-empty
+	Lo    int    `json:"lo,omitempty"`    // bit range [Lo, Hi) within the field, 0 = MSB
+	Hi    int    `json:"hi,omitempty"`
 
-	Lookahead bool // lookahead variant when true
-	Skip      int  // bits to skip past the cursor before the window
-	Width     int  // lookahead window width
+	Lookahead bool `json:"lookahead,omitempty"` // lookahead variant when true
+	Skip      int  `json:"skip,omitempty"`      // bits to skip past the cursor before the window
+	Width     int  `json:"width,omitempty"`     // lookahead window width
 }
 
 // FieldSlice builds a key part selecting bits [lo, hi) of field f.
@@ -201,14 +207,6 @@ func (s *Spec) Field(name string) (Field, bool) {
 		return Field{}, false
 	}
 	return s.Fields[i], true
-}
-
-// FieldIndex returns the index of the named field, or -1.
-func (s *Spec) FieldIndex(name string) int {
-	if i, ok := s.fieldIdx[name]; ok {
-		return i
-	}
-	return -1
 }
 
 // StateIndex returns the index of the named state, or -1.

@@ -255,108 +255,6 @@ func TestRelevantBitsAndIrrelevantFields(t *testing.T) {
 	}
 }
 
-func TestKeyGroupsMerge(t *testing.T) {
-	s := MustNew("groups",
-		[]Field{{Name: "f", Width: 8}},
-		[]State{
-			{
-				Name:     "A",
-				Extracts: []Extract{{Field: "f"}},
-				Key:      []KeyPart{FieldSlice("f", 0, 2)},
-				Rules:    []Rule{ExactRule(1, 2, To(1))},
-				Default:  AcceptTarget,
-			},
-			{
-				Name:    "B",
-				Key:     []KeyPart{FieldSlice("f", 2, 4), FieldSlice("f", 6, 8)},
-				Rules:   []Rule{ExactRule(5, 4, AcceptTarget)},
-				Default: AcceptTarget,
-			},
-		})
-	gs := s.KeyGroups()
-	want := []KeyGroup{{"f", 0, 4}, {"f", 6, 8}}
-	if len(gs) != len(want) {
-		t.Fatalf("groups=%v", gs)
-	}
-	for i := range gs {
-		if gs[i] != want[i] {
-			t.Errorf("group %d = %v want %v", i, gs[i], want[i])
-		}
-	}
-}
-
-func TestConstantSetSubranges(t *testing.T) {
-	// One 4-bit constant 0b1010 with a 2-bit key limit must contribute the
-	// subranges 10,01,10 (as width-1 and width-2 pieces) per §6.4.3.
-	s := MustNew("consts",
-		[]Field{{Name: "k", Width: 4}},
-		[]State{{
-			Name:     "S",
-			Extracts: []Extract{{Field: "k"}},
-			Key:      []KeyPart{WholeField("k", 4)},
-			Rules:    []Rule{ExactRule(0b1010, 4, AcceptTarget)},
-			Default:  RejectTarget,
-		}})
-	cs := s.ConstantSet(2)
-	hasW2 := false
-	for _, c := range cs {
-		if c.Width == 2 && c.Value == 0b10 && c.Mask == 0b11 {
-			hasW2 = true
-		}
-		if c.Width > 4 {
-			t.Errorf("unexpected wide constant %v", c)
-		}
-	}
-	if !hasW2 {
-		t.Errorf("missing subrange constant in %v", cs)
-	}
-}
-
-func TestConstantSetConcatenation(t *testing.T) {
-	// Adjacent states with 1-bit keys: concatenated 2-bit constants appear.
-	s := MustNew("concat",
-		[]Field{{Name: "a", Width: 1}, {Name: "b", Width: 1}},
-		[]State{
-			{
-				Name:     "A",
-				Extracts: []Extract{{Field: "a"}},
-				Key:      []KeyPart{WholeField("a", 1)},
-				Rules:    []Rule{ExactRule(1, 1, To(1))},
-				Default:  RejectTarget,
-			},
-			{
-				Name:     "B",
-				Extracts: []Extract{{Field: "b"}},
-				Key:      []KeyPart{WholeField("b", 1)},
-				Rules:    []Rule{ExactRule(0, 1, AcceptTarget)},
-				Default:  RejectTarget,
-			},
-		})
-	cs := s.ConstantSet(0)
-	found := false
-	for _, c := range cs {
-		if c.Width == 2 && c.Value == 0b10 && c.Mask == 0b11 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("missing concatenated constant 0b10: %v", cs)
-	}
-}
-
-func TestExtractedFieldsSkipsUnreachable(t *testing.T) {
-	s := MustNew("ef",
-		[]Field{{Name: "f", Width: 2}, {Name: "g", Width: 2}},
-		[]State{
-			{Name: "S0", Extracts: []Extract{{Field: "f"}}, Default: AcceptTarget},
-			{Name: "dead", Extracts: []Extract{{Field: "g"}}, Default: AcceptTarget},
-		})
-	ef := s.ExtractedFields()
-	if len(ef) != 1 || ef[0] != "f" {
-		t.Errorf("extracted=%v", ef)
-	}
-}
-
 func TestMaxConsumedBits(t *testing.T) {
 	if got := spec1(t).MaxConsumedBits(0); got != 8 {
 		t.Errorf("spec1 max=%d want 8", got)

@@ -8,44 +8,6 @@ import (
 	"parserhawk/internal/bitstream"
 )
 
-// Property: every hardware-width subrange of every rule constant appears
-// in the Opt4 constant set (§6.4.3's completeness requirement).
-func TestConstantSetSubrangeCompleteness(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		kw := 3 + rng.Intn(6)
-		limit := 1 + rng.Intn(kw-1)
-		n := 1 + rng.Intn(4)
-		var rules []Rule
-		for i := 0; i < n; i++ {
-			rules = append(rules, ExactRule(rng.Uint64()&(1<<uint(kw)-1), kw, AcceptTarget))
-		}
-		spec := MustNew("p", []Field{{Name: "k", Width: kw}},
-			[]State{{
-				Name:     "S",
-				Extracts: []Extract{{Field: "k"}},
-				Key:      []KeyPart{WholeField("k", kw)},
-				Rules:    rules,
-				Default:  RejectTarget,
-			}})
-		cs := spec.ConstantSet(limit)
-		have := map[[2]uint64]bool{}
-		for _, c := range cs {
-			have[[2]uint64{c.Value, uint64(c.Width)}] = true
-		}
-		for _, r := range rules {
-			for lo := 0; lo < kw; lo++ {
-				for w := 1; w <= limit && lo+w <= kw; w++ {
-					sub := r.Value >> uint(kw-lo-w) & (1<<uint(w) - 1)
-					if !have[[2]uint64{sub, uint64(w)}] {
-						t.Fatalf("trial %d: missing subrange %0*b of %0*b", trial, w, sub, kw, r.Value)
-					}
-				}
-			}
-		}
-	}
-}
-
 // Property: interpretation is deterministic and padding-invariant — a
 // zero-extended input yields the same result.
 func TestRunPaddingInvariance(t *testing.T) {

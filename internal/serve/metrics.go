@@ -15,7 +15,6 @@ import (
 type counter struct{ v atomic.Int64 }
 
 func (c *counter) inc()         { c.v.Add(1) }
-func (c *counter) add(n int64)  { c.v.Add(n) }
 func (c *counter) value() int64 { return c.v.Load() }
 
 // aggregates accumulates per-compile statistics across the server's

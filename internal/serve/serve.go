@@ -388,7 +388,7 @@ func (s *Server) buildOptions(ro *CompileOptions) (core.Options, int) {
 // outcome-relevant options fingerprint. The profile contributes its
 // Fingerprint, not its Name: names do not pin the architecture or the
 // objective, and a name-keyed cache could alias a tofino result onto an
-// fpga request if two registrations ever shared a name (see
+// fpga request if two configured profiles ever shared a name (see
 // hw.Profile.Fingerprint).
 //
 // The key keeps the spec's names: a cached response renders its program

@@ -653,7 +653,7 @@ func TestMultiTargetCompile(t *testing.T) {
 }
 
 // TestMultiTargetRequestValidation: profile and targets are mutually
-// exclusive, and an unknown target is a 400 that lists the registry so
+// exclusive, and an unknown target is a 400 that lists the profiles so
 // the client can see what the server actually resolves.
 func TestMultiTargetRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, nil)

@@ -3,6 +3,7 @@ package tcam
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"parserhawk/internal/pir"
 )
@@ -12,45 +13,22 @@ import (
 // populate the parser. EncodeJSON/DecodeJSON round-trip losslessly.
 
 type jsonProgram struct {
-	Fields []jsonField `json:"fields"`
+	Fields []pir.Field `json:"fields"`
 	States []jsonState `json:"states"`
-}
-
-type jsonField struct {
-	Name  string `json:"name"`
-	Width int    `json:"width"`
-	Var   bool   `json:"varbit,omitempty"`
 }
 
 type jsonState struct {
 	Table   int           `json:"table"`
 	ID      int           `json:"id"`
-	Key     []jsonKeyPart `json:"key,omitempty"`
+	Key     []pir.KeyPart `json:"key,omitempty"`
 	Entries []jsonEntry   `json:"entries"`
-}
-
-type jsonKeyPart struct {
-	Field string `json:"field,omitempty"`
-	Lo    int    `json:"lo,omitempty"`
-	Hi    int    `json:"hi,omitempty"`
-
-	Lookahead bool `json:"lookahead,omitempty"`
-	Skip      int  `json:"skip,omitempty"`
-	Width     int  `json:"width,omitempty"`
 }
 
 type jsonEntry struct {
 	Value    string        `json:"value"` // hex
 	Mask     string        `json:"mask"`  // hex
-	Extracts []jsonExtract `json:"extracts,omitempty"`
+	Extracts []pir.Extract `json:"extracts,omitempty"`
 	Next     jsonTarget    `json:"next"`
-}
-
-type jsonExtract struct {
-	Field    string `json:"field"`
-	LenField string `json:"lenField,omitempty"`
-	LenScale int    `json:"lenScale,omitempty"`
-	LenBias  int    `json:"lenBias,omitempty"`
 }
 
 type jsonTarget struct {
@@ -62,29 +40,17 @@ type jsonTarget struct {
 // EncodeJSON serializes the program (including its field table) so it can
 // be stored, diffed, or loaded into a device driver.
 func (p *Program) EncodeJSON() ([]byte, error) {
-	out := jsonProgram{}
-	for _, f := range p.Spec.Fields {
-		out.Fields = append(out.Fields, jsonField{Name: f.Name, Width: f.Width, Var: f.Var})
-	}
+	// The copy is nil for an empty field table, which the wire form
+	// writes as "fields": null.
+	out := jsonProgram{Fields: append([]pir.Field(nil), p.Spec.Fields...)}
 	for i := range p.States {
 		s := &p.States[i]
-		js := jsonState{Table: s.Table, ID: s.ID}
-		for _, k := range s.Key {
-			js.Key = append(js.Key, jsonKeyPart{
-				Field: k.Field, Lo: k.Lo, Hi: k.Hi,
-				Lookahead: k.Lookahead, Skip: k.Skip, Width: k.Width,
-			})
-		}
+		js := jsonState{Table: s.Table, ID: s.ID, Key: s.Key}
 		for _, e := range s.Entries {
 			je := jsonEntry{
-				Value: fmt.Sprintf("%#x", e.Value),
-				Mask:  fmt.Sprintf("%#x", e.Mask),
-			}
-			for _, x := range e.Extracts {
-				je.Extracts = append(je.Extracts, jsonExtract{
-					Field: x.Field, LenField: x.LenField,
-					LenScale: x.LenScale, LenBias: x.LenBias,
-				})
+				Value:    fmt.Sprintf("%#x", e.Value),
+				Mask:     fmt.Sprintf("%#x", e.Mask),
+				Extracts: e.Extracts,
 			}
 			switch e.Next.Kind {
 			case Accept:
@@ -107,39 +73,23 @@ func DecodeJSON(data []byte) (*Program, error) {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("tcam: %w", err)
 	}
-	var fields []pir.Field
-	for _, f := range in.Fields {
-		fields = append(fields, pir.Field{Name: f.Name, Width: f.Width, Var: f.Var})
-	}
 	// The field table alone is a valid one-state spec carrier; programs
 	// deserialized this way exist to be executed, so a synthetic spec with
 	// the right fields is sufficient.
-	spec, err := pir.New("deserialized", fields, []pir.State{{Name: "start", Default: pir.AcceptTarget}})
+	spec, err := pir.New("deserialized", in.Fields, []pir.State{{Name: "start", Default: pir.AcceptTarget}})
 	if err != nil {
 		return nil, fmt.Errorf("tcam: %w", err)
 	}
 	prog := &Program{Spec: spec}
 	for _, js := range in.States {
-		st := State{Table: js.Table, ID: js.ID}
-		for _, k := range js.Key {
-			st.Key = append(st.Key, pir.KeyPart{
-				Field: k.Field, Lo: k.Lo, Hi: k.Hi,
-				Lookahead: k.Lookahead, Skip: k.Skip, Width: k.Width,
-			})
-		}
+		st := State{Table: js.Table, ID: js.ID, Key: js.Key}
 		for _, je := range js.Entries {
-			var e Entry
-			if _, err := fmt.Sscanf(je.Value, "%v", &e.Value); err != nil {
+			e := Entry{Extracts: je.Extracts}
+			if e.Value, err = strconv.ParseUint(je.Value, 0, 64); err != nil {
 				return nil, fmt.Errorf("tcam: bad value %q: %w", je.Value, err)
 			}
-			if _, err := fmt.Sscanf(je.Mask, "%v", &e.Mask); err != nil {
+			if e.Mask, err = strconv.ParseUint(je.Mask, 0, 64); err != nil {
 				return nil, fmt.Errorf("tcam: bad mask %q: %w", je.Mask, err)
-			}
-			for _, x := range je.Extracts {
-				e.Extracts = append(e.Extracts, pir.Extract{
-					Field: x.Field, LenField: x.LenField,
-					LenScale: x.LenScale, LenBias: x.LenBias,
-				})
 			}
 			switch je.Next.Kind {
 			case "accept":
